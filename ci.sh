@@ -27,9 +27,11 @@
 #                                   each one, fixed seed first, then one
 #                                   randomized-seed exploration (the seed
 #                                   is echoed so failures replay exactly)
-#   8. concurrency bench smoke      the store_concurrent/group-commit
-#                                   benches at a tiny workload — a
-#                                   does-it-run check, not a measurement
+#   8. bench smoke                  the store_concurrent/group-commit
+#                                   benches and the replication_catchup
+#                                   group (1 000 entries) at a tiny
+#                                   workload — a does-it-run check, not a
+#                                   measurement
 #   9. /metrics endpoint smoke      boots the release serverd on
 #                                   ephemeral ports and asserts the
 #                                   Prometheus exposition is well formed
@@ -107,12 +109,18 @@ printf 'crash-matrix randomized seed: %s\n' "$CRASH_SEED"
 timeout 300 env SOFTREP_CRASH_SEED="$CRASH_SEED" \
     cargo test --offline -q --test crash_matrix randomized
 
-step "10/13 concurrency bench smoke"
+step "10/13 bench smoke (concurrency + replication catch-up)"
 # Tiny workload: proves the mixed reader/writer and group-commit benches
 # still run, without spending CI minutes on real measurements.
 SOFTREP_BENCH_SMOKE=1 cargo bench --offline -p softrep-bench --bench storage_bench \
     | grep -E 'store_concurrent|store_group_commit' || {
         echo "concurrency benches produced no output"; exit 1; }
+# A fresh replica tails (and bootstraps from) a 1 000-entry primary over
+# loopback, page by page through Store::replication_read. Timings are
+# printed, not gated.
+SOFTREP_BENCH_SMOKE=1 cargo bench --offline -p softrep-bench --bench server_bench \
+    | grep 'replication_catchup' || {
+        echo "replication catch-up bench produced no output"; exit 1; }
 
 step "11/13 /metrics endpoint smoke"
 # Boot the real binary on ephemeral ports, fetch /metrics over a raw

@@ -6,8 +6,9 @@
 //! sleeps under a guard. Those properties previously relied on review
 //! discipline. This pass reuses the `lockorder` guard-liveness model and
 //! flags any blocking call — fsync/`sync_*`, socket frame and stream
-//! reads/writes, `flush`, `accept`/`connect`, `thread::sleep`, thread
-//! `join` — whose statement falls inside a guard's live interval.
+//! reads/writes, file reads (`read_all`/`read_at`/`try_read`), `flush`,
+//! `accept`/`connect`, `thread::sleep`, thread `join` — whose statement
+//! falls inside a guard's live interval.
 //!
 //! Deliberate holds (a flush that must be covered by the commit lock for
 //! ordering, say) are suppressed inline with a written reason, which the
@@ -31,6 +32,9 @@ const BLOCKING: &[&str] = &[
     "read_to_end",
     "read_to_string",
     "read_line",
+    "read_all",
+    "read_at",
+    "try_read",
     "write_all",
     "flush",
     "accept",
@@ -124,6 +128,15 @@ mod tests {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "guard-io");
         assert!(d[0].message.contains("sync_all"), "{}", d[0].message);
+    }
+
+    #[test]
+    fn file_reads_under_guard_are_flagged() {
+        for call in ["file.read_at(0, 64)", "file.read_all()", "self.vfs.try_read(&path)"] {
+            let src = format!("impl Store {{ fn f(&self) {{\n    let g = self.compaction.lock();\n    {call};\n}} }}");
+            let d = diags("crates/storage/src/store.rs", &src);
+            assert_eq!(d.len(), 1, "{call}: {d:?}");
+        }
     }
 
     #[test]

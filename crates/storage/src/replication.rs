@@ -291,6 +291,71 @@ mod tests {
     }
 
     #[test]
+    fn seqs_left_in_wal_old_by_a_failed_compaction_need_a_snapshot() {
+        use std::path::Path;
+        use std::sync::Arc;
+
+        use crate::commit::StoreOptions;
+        use crate::failpoint::{FailAction, Fault};
+        use crate::vfs::{SimVfs, Vfs};
+
+        let vfs = SimVfs::new();
+        let primary =
+            Store::open_with_vfs("/sim/p", StoreOptions::default(), Arc::new(vfs.clone())).unwrap();
+        for i in 0..30 {
+            put(&primary, "t", &format!("k{i}"), &format!("v{i}"));
+        }
+        // The compaction rotates WAL → WAL.old, then its snapshot write
+        // fails: seqs 1..=30 now live only in WAL.old.
+        vfs.failpoints().set_scoped("vfs.append", "SNAPSHOT", FailAction::Every(Fault::Err));
+        assert!(primary.compact().is_err());
+        vfs.failpoints().clear_all();
+        assert!(vfs.exists(Path::new("/sim/p/WAL.old")));
+        put(&primary, "t", "k-post", "v-post");
+
+        for from_seq in [0, 12, 29] {
+            assert_eq!(
+                primary.replication_read(from_seq, 64, 1 << 20).unwrap(),
+                ReplRead::SnapshotNeeded { committed_seq: 31 },
+                "from {from_seq}"
+            );
+        }
+        // A subscriber at the rotation point tails the fresh WAL.
+        let ReplRead::Entries { entries, .. } = primary.replication_read(30, 64, 1 << 20).unwrap()
+        else {
+            panic!("expected entries");
+        };
+        assert_eq!(entries.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![31]);
+
+        // A fresh replica bootstraps from the snapshot, then tails.
+        let replica = Store::open(tmpdir("wal-old-r")).unwrap();
+        let catch_up = |replica: &Store| -> usize {
+            let mut snapshots = 0;
+            while applied_watermark(replica) < primary.committed_seq() {
+                assert!(snapshots < 2, "replica did not converge");
+                match primary.replication_read(applied_watermark(replica), 8, 1 << 16).unwrap() {
+                    ReplRead::Entries { entries, .. } => {
+                        for e in &entries {
+                            apply_replicated(replica, e).unwrap();
+                        }
+                    }
+                    ReplRead::SnapshotNeeded { .. } => {
+                        snapshots += 1;
+                        install_snapshot(replica, &primary.export_snapshot().1).unwrap();
+                    }
+                }
+            }
+            snapshots
+        };
+        assert_eq!(catch_up(&replica), 1);
+        for i in 0..20 {
+            put(&primary, "t", &format!("after{i}"), "v");
+        }
+        assert_eq!(catch_up(&replica), 0, "after the bootstrap the live WAL serves the tail");
+        assert_eq!(primary.content_dump(), replica.content_dump());
+    }
+
+    #[test]
     fn redelivery_is_idempotent_and_gaps_are_refused() {
         let primary = Store::open(tmpdir("gaps-p")).unwrap();
         let replica = Store::open(tmpdir("gaps-r")).unwrap();

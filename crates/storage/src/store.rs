@@ -38,7 +38,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::replication::{ReplEntry, ReplRead};
 use crate::shard::{ShardSet, Tree};
 use crate::vfs::{self, Vfs};
-use crate::wal::Wal;
+use crate::wal::{self, FrameEnd, Wal, FRAME_HEADER};
 
 /// A tree (keyspace) name. Plain `&str` newtype used to make call sites
 /// self-documenting.
@@ -51,15 +51,52 @@ impl std::fmt::Display for TreeName {
     }
 }
 
-/// Everything guarded by the commit mutex: the WAL handle, the group
-/// commit ledger, and the write counters (folded in here so `stats` can
-/// snapshot them coherently in one acquisition).
+/// Everything guarded by the commit mutex: the WAL handle and its index,
+/// the group commit ledger, and the write counters (folded in here so
+/// `stats` can snapshot them coherently in one acquisition).
 struct CommitState {
     wal: Option<Wal>,
+    wal_index: WalIndex,
     ledger: CommitLedger,
     batches_applied: u64,
     ops_since_compaction: u64,
     wal_rotations: u64,
+}
+
+/// Frames between two marks of a [`WalIndex`]: a replication page skips
+/// at most this many frames before its first entry.
+const WAL_INDEX_STRIDE: u64 = 64;
+
+/// Bytes a replication page reads per positioned read.
+const PAGE_READ_CHUNK: usize = 64 * 1024;
+
+/// Sparse commit-seq → byte-offset index of the live `WAL`: one mark per
+/// [`WAL_INDEX_STRIDE`] frames, starting with the first. Derived from the
+/// log and never persisted: open's replay builds it, `apply` extends it,
+/// and a compaction that rotates in a fresh log clears it.
+#[derive(Debug, Default)]
+struct WalIndex {
+    /// `(seq, offset)` of every stride-th frame, ascending.
+    marks: Vec<(u64, u64)>,
+    /// Frames in the live WAL.
+    frames: u64,
+}
+
+impl WalIndex {
+    /// Record the next frame of the live WAL.
+    fn push(&mut self, seq: u64, offset: u64) {
+        if self.frames.is_multiple_of(WAL_INDEX_STRIDE) {
+            self.marks.push((seq, offset));
+        }
+        self.frames += 1;
+    }
+
+    /// The nearest mark at or below `seq`, or `None` when `seq` predates
+    /// the live WAL.
+    fn seek(&self, seq: u64) -> Option<(u64, u64)> {
+        let after = self.marks.partition_point(|&(mark, _)| mark <= seq);
+        self.marks.get(after.checked_sub(1)?).copied()
+    }
 }
 
 /// Counters exposed for the D10 benchmarks and operational visibility.
@@ -223,6 +260,7 @@ impl Store {
             old_torn = outcome.torn;
             payloads = outcome.entries;
         }
+        let live_from = payloads.len(); // payloads[live_from..] are WAL's
         if old_torn {
             // The rotated log died mid-append. Every frame in the newer
             // WAL postdates the tear, so replaying it would apply batches
@@ -236,8 +274,14 @@ impl Store {
         // at or below the snapshot's covered sequence replay idempotently
         // (puts and deletes set absolute per-key state).
         let mut prev_seq: Option<u64> = None;
-        for payload in &payloads {
+        let mut wal_index = WalIndex::default();
+        let mut live_offset = 0u64;
+        for (i, payload) in payloads.iter().enumerate() {
             let (seq, batch) = Self::decode_wal_entry(payload)?;
+            if i >= live_from {
+                wal_index.push(seq, live_offset);
+                live_offset += (FRAME_HEADER + payload.len()) as u64;
+            }
             if let Some(prev) = prev_seq {
                 if seq != prev + 1 {
                     return Err(StorageError::Corrupt(format!(
@@ -255,6 +299,7 @@ impl Store {
             shards: ShardSet::new(options.shards, trees),
             commit: Mutex::new(CommitState {
                 wal: Some(wal),
+                wal_index,
                 ledger: CommitLedger::starting_at(recovered_seq),
                 batches_applied: 0,
                 ops_since_compaction: 0,
@@ -288,6 +333,7 @@ impl Store {
             shards: ShardSet::new(options.shards, BTreeMap::new()),
             commit: Mutex::new(CommitState {
                 wal: None,
+                wal_index: WalIndex::default(),
                 ledger: CommitLedger::new(),
                 batches_applied: 0,
                 ops_since_compaction: 0,
@@ -325,17 +371,20 @@ impl Store {
             None
         };
         let (seq, sync_now) = {
-            let mut commit = self.commit.lock();
+            let mut guard = self.commit.lock();
+            let commit = &mut *guard;
             let next_seq = commit.ledger.appended_seq() + 1;
             if let (Some(wal), Some(payload)) = (commit.wal.as_mut(), payload.as_deref_mut()) {
                 if let Some(slot) = payload.get_mut(..8) {
                     slot.copy_from_slice(&next_seq.to_le_bytes());
                 }
+                let offset = wal.len_bytes();
                 wal.append(payload)?;
                 if matches!(self.durability, DurabilityMode::Os) {
                     // lint: allow(guard-io, "Os mode hands frames to the kernel inside the commit lock so append order equals WAL order; no fsync happens here")
                     wal.flush()?;
                 }
+                commit.wal_index.push(next_seq, offset);
             }
             let bytes = payload.as_ref().map_or(0, |p| 8 + p.len() as u64);
             let seq = commit.ledger.record_append(bytes);
@@ -523,6 +572,9 @@ impl Store {
             if !resume {
                 commit.wal = None; // close the handle before renaming
                 let renamed = self.vfs.rename(&dir.join(WAL_FILE), &wal_old);
+                if renamed.is_ok() {
+                    commit.wal_index = WalIndex::default();
+                }
                 // Reopen before propagating: on rename failure this
                 // reopens the same log and the store stays serviceable.
                 commit.wal = Some(Wal::open_on(&*self.vfs, dir.join(WAL_FILE))?);
@@ -702,9 +754,16 @@ impl Store {
     /// Read committed WAL entries after `from_seq` for a replication
     /// subscriber. Returns [`ReplRead::Entries`] with a contiguous run
     /// starting at `from_seq + 1` (bounded by `max_entries`/`max_bytes`,
-    /// with `backlog_bytes` counting what remains), or
-    /// [`ReplRead::SnapshotNeeded`] when compaction has already retired
-    /// that suffix and the subscriber must bootstrap from a snapshot.
+    /// with `backlog_bytes` counting what remains),
+    /// or [`ReplRead::SnapshotNeeded`] when `from_seq + 1` predates the
+    /// live `WAL`: compaction retired that suffix (a `WAL.old` left by a
+    /// compaction that failed after rotating counts as retired) and the
+    /// subscriber must bootstrap from a snapshot.
+    ///
+    /// A page costs O(page), not O(log): the WAL index names a frame at
+    /// most [`WAL_INDEX_STRIDE`] frames before the first entry, and the
+    /// frames are read forward from there in bounded positioned reads,
+    /// each one length- and CRC-checked.
     ///
     /// Only frames the recovered-or-flushed log actually holds are served,
     /// so a primary that crashed and lost an unsynced suffix can never
@@ -716,66 +775,110 @@ impl Store {
         max_entries: usize,
         max_bytes: usize,
     ) -> StorageResult<ReplRead> {
-        let Some(dir) = self.dir.as_ref() else {
-            return Err(StorageError::Unsupported("replication reads need a WAL-backed store"));
-        };
         let max_entries = max_entries.max(1);
-        // Hold the compaction lock across the whole read: rotation moves
-        // frames between WAL and WAL.old, and retiring WAL.old would pull
-        // a file out from under us mid-scan.
+        // Held across the page read so compaction cannot rotate the log
+        // out from under it; a page is bounded by its caps, so a
+        // compaction waits for at most one page.
         let _compaction = self.compaction.lock();
-        let committed_seq = {
-            let mut commit = self.commit.lock();
-            if let Some(wal) = commit.wal.as_mut() {
-                // lint: allow(guard-io, "buffered flush only, so the file covers every committed frame; same commit-lock cost the Os durability path already pays")
-                wal.flush()?;
+        let (committed_seq, end, file, (mut seq_at, mut base)) = {
+            let mut guard = self.commit.lock();
+            let commit = &mut *guard;
+            let Some(wal) = commit.wal.as_mut() else {
+                return Err(StorageError::Unsupported("replication reads need a WAL-backed store"));
+            };
+            // lint: allow(guard-io, "buffered flush only, so the file covers every committed frame; same commit-lock cost the Os durability path already pays")
+            wal.flush()?;
+            let committed_seq = commit.ledger.appended_seq();
+            if from_seq >= committed_seq {
+                return Ok(ReplRead::Entries {
+                    entries: Vec::new(),
+                    committed_seq,
+                    backlog_bytes: 0,
+                });
             }
-            commit.ledger.appended_seq()
+            let Some(mark) = commit.wal_index.seek(from_seq + 1) else {
+                return Ok(ReplRead::SnapshotNeeded { committed_seq });
+            };
+            // The file is flushed up to `len_bytes`, and every frame
+            // below it carries a sequence number in `..=committed_seq`.
+            (committed_seq, wal.len_bytes(), wal.sync_handle(), mark)
         };
-        if from_seq >= committed_seq {
-            return Ok(ReplRead::Entries { entries: Vec::new(), committed_seq, backlog_bytes: 0 });
-        }
+
+        // `buf` holds the file from offset `base`; `pos` is the next
+        // frame's position in it and `seq_at` that frame's sequence.
+        let mut buf: Vec<u8> = Vec::new();
+        let mut pos = 0usize;
         let mut entries = Vec::new();
         let mut taken_bytes = 0usize;
-        let mut backlog_bytes = 0u64;
-        let mut full = false;
-        for name in [WAL_OLD_FILE, WAL_FILE] {
-            let Some(raw) = self.vfs.try_read(&dir.join(name))? else { continue };
-            for payload in crate::wal::valid_frames(&raw) {
-                let seq = Self::wal_entry_seq(payload)?;
-                if seq <= from_seq || seq > committed_seq {
-                    // Below: already applied by the subscriber. Above: a
-                    // frame appended after our committed cut was taken.
-                    continue;
+        while entries.len() < max_entries && taken_bytes < max_bytes && base + (pos as u64) < end {
+            match wal::next_frame(&buf, pos) {
+                Ok(payload) => {
+                    let seq = Self::wal_entry_seq(payload)?;
+                    if seq != seq_at {
+                        return Err(StorageError::Corrupt(format!(
+                            "WAL frame {seq} where the index expects {seq_at}"
+                        )));
+                    }
+                    pos += FRAME_HEADER + payload.len();
+                    seq_at += 1;
+                    if seq > from_seq {
+                        let batch = payload.get(8..).unwrap_or_default().to_vec();
+                        taken_bytes += batch.len();
+                        entries.push(ReplEntry { seq, batch });
+                    }
                 }
-                if entries.len() >= max_entries || taken_bytes >= max_bytes {
-                    full = true;
+                Err(FrameEnd::Short { need }) => {
+                    buf.drain(..pos);
+                    base += pos as u64;
+                    pos = 0;
+                    let read_from = base + buf.len() as u64;
+                    let left = usize::try_from(end - read_from).unwrap_or(usize::MAX);
+                    let want = need.saturating_sub(buf.len()).max(PAGE_READ_CHUNK).min(left);
+                    // lint: allow(guard-io, "the page read holds the compaction lock so rotation cannot retire the log mid-page; it is bounded by the page caps plus one index stride")
+                    let more = file.read_at(read_from, want)?;
+                    if want == 0 || more.len() < want {
+                        return Err(StorageError::Corrupt(format!(
+                            "WAL frame at offset {base} runs past the flushed length {end}"
+                        )));
+                    }
+                    buf.extend_from_slice(&more);
                 }
-                if full {
-                    backlog_bytes += payload.len().saturating_sub(8) as u64;
-                    continue;
+                Err(FrameEnd::Corrupt) => {
+                    return Err(StorageError::Corrupt(format!(
+                        "WAL frame at offset {} fails its length or CRC check",
+                        base + pos as u64
+                    )));
                 }
-                let batch = payload.get(8..).unwrap_or_default().to_vec();
-                taken_bytes += batch.len();
-                entries.push(ReplEntry { seq, batch });
             }
         }
-        match entries.first() {
-            Some(first) if first.seq == from_seq + 1 => {
-                Ok(ReplRead::Entries { entries, committed_seq, backlog_bytes })
-            }
-            // Either the suffix after `from_seq` was compacted away
-            // entirely, or its head was — both mean the log can no longer
-            // serve a gapless continuation.
-            _ => Ok(ReplRead::SnapshotNeeded { committed_seq }),
-        }
+        let Some(last_seq) = entries.last().map(|e| e.seq) else {
+            // The log ends before `from_seq + 1`: nothing to continue from.
+            return Ok(ReplRead::SnapshotNeeded { committed_seq });
+        };
+        // Every frame past the page is `seq ‖ batch` behind a frame
+        // header, and the frames past the page are exactly
+        // `last_seq + 1..=committed_seq`.
+        let page_end = base + pos as u64;
+        let frame_overhead = (FRAME_HEADER + 8) as u64;
+        let backlog_bytes = (committed_seq - last_seq)
+            .checked_mul(frame_overhead)
+            .and_then(|overhead| (end - page_end).checked_sub(overhead))
+            .ok_or_else(|| {
+                StorageError::Corrupt(format!(
+                    "WAL holds {} bytes past frame {last_seq}, too few for frames up to {committed_seq}",
+                    end - page_end
+                ))
+            })?;
+        Ok(ReplRead::Entries { entries, committed_seq, backlog_bytes })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::{SimVfs, VfsFile};
     use std::fs;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("softrep-store-{name}-{}", std::process::id()));
@@ -994,6 +1097,137 @@ mod tests {
         let s = Store::open(&dir).unwrap();
         assert!(s.contains("t", b"safe"));
         assert!(!s.contains("t", b"torn"));
+    }
+
+    /// A [`Vfs`] that counts every byte read through it.
+    struct CountingVfs {
+        inner: SimVfs,
+        read: Arc<AtomicU64>,
+    }
+
+    struct CountingFile {
+        inner: Arc<dyn VfsFile>,
+        read: Arc<AtomicU64>,
+    }
+
+    fn count(read: &AtomicU64, bytes: usize) {
+        read.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    impl VfsFile for CountingFile {
+        fn append(&self, data: &[u8]) -> StorageResult<()> {
+            self.inner.append(data)
+        }
+        fn sync_data(&self) -> StorageResult<()> {
+            self.inner.sync_data()
+        }
+        fn set_len(&self, len: u64) -> StorageResult<()> {
+            self.inner.set_len(len)
+        }
+        fn read_all(&self) -> StorageResult<Vec<u8>> {
+            let raw = self.inner.read_all()?;
+            count(&self.read, raw.len());
+            Ok(raw)
+        }
+        fn read_at(&self, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
+            let raw = self.inner.read_at(offset, len)?;
+            count(&self.read, raw.len());
+            Ok(raw)
+        }
+    }
+
+    impl CountingVfs {
+        fn wrap(&self, inner: Arc<dyn VfsFile>) -> Arc<dyn VfsFile> {
+            Arc::new(CountingFile { inner, read: Arc::clone(&self.read) })
+        }
+    }
+
+    impl Vfs for CountingVfs {
+        fn open_append(&self, path: &Path) -> StorageResult<Arc<dyn VfsFile>> {
+            Ok(self.wrap(self.inner.open_append(path)?))
+        }
+        fn create(&self, path: &Path) -> StorageResult<Arc<dyn VfsFile>> {
+            Ok(self.wrap(self.inner.create(path)?))
+        }
+        fn try_read(&self, path: &Path) -> StorageResult<Option<Vec<u8>>> {
+            let raw = self.inner.try_read(path)?;
+            count(&self.read, raw.as_ref().map_or(0, Vec::len));
+            Ok(raw)
+        }
+        fn write(&self, path: &Path, data: &[u8]) -> StorageResult<()> {
+            self.inner.write(path, data)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> StorageResult<()> {
+            self.inner.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> StorageResult<()> {
+            self.inner.remove_file(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> StorageResult<()> {
+            self.inner.create_dir_all(path)
+        }
+    }
+
+    #[test]
+    fn replication_page_reads_are_bounded_by_the_page_not_the_log() {
+        const ENTRIES: u64 = 20_000;
+        const PAGE: usize = 256;
+        let read = Arc::new(AtomicU64::new(0));
+        let vfs = CountingVfs { inner: SimVfs::new(), read: Arc::clone(&read) };
+        let s =
+            Store::open_with_vfs("/sim/bounded", StoreOptions::default(), Arc::new(vfs)).unwrap();
+        for i in 0..ENTRIES {
+            s.put("t", format!("key-{i:06}").into_bytes(), vec![b'v'; 40]).unwrap();
+        }
+        let log_bytes = s.stats().wal_bytes;
+        let frame_bytes = log_bytes / ENTRIES; // every frame is the same size
+        assert_eq!(frame_bytes * ENTRIES, log_bytes);
+
+        read.store(0, Ordering::Relaxed);
+        let from_seq = ENTRIES - PAGE as u64;
+        let ReplRead::Entries { entries, committed_seq, backlog_bytes } =
+            s.replication_read(from_seq, PAGE, 1 << 20).unwrap()
+        else {
+            panic!("expected entries");
+        };
+        assert_eq!(committed_seq, ENTRIES);
+        assert_eq!(backlog_bytes, 0);
+        let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (from_seq + 1..=ENTRIES).collect::<Vec<_>>());
+
+        let bound = (PAGE as u64 + WAL_INDEX_STRIDE) * frame_bytes + PAGE_READ_CHUNK as u64;
+        let read = read.load(Ordering::Relaxed);
+        assert!(
+            read <= bound,
+            "a {PAGE}-entry page read {read} bytes (bound {bound}, log {log_bytes})"
+        );
+    }
+
+    #[test]
+    fn replication_pages_carry_frames_larger_than_a_read_chunk() {
+        let s = Store::open_with_vfs("/sim/big", StoreOptions::default(), Arc::new(SimVfs::new()))
+            .unwrap();
+        let sizes = [10usize, 3 * PAGE_READ_CHUNK, 7, PAGE_READ_CHUNK + 1, 2];
+        for (i, &size) in sizes.iter().enumerate() {
+            s.put("t", vec![i as u8], vec![b'x'; size]).unwrap();
+        }
+        let mut from_seq = 1; // start past the first mark
+        while from_seq < sizes.len() as u64 {
+            let ReplRead::Entries { entries, .. } = s.replication_read(from_seq, 2, 1).unwrap()
+            else {
+                panic!("expected entries");
+            };
+            for e in &entries {
+                let mut expected = WriteBatch::new();
+                let i = (e.seq - 1) as usize;
+                expected.put("t", vec![i as u8], vec![b'x'; sizes[i]]);
+                assert_eq!(e.batch, expected.encode_to_bytes().to_vec(), "seq {}", e.seq);
+            }
+            from_seq = entries.last().unwrap().seq;
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! |----------------|-----------------------------------|---------------------------|
 //! | `vfs.open`     | open-or-create for append         | —                         |
 //! | `vfs.create`   | create/truncate a file            | —                         |
-//! | `vfs.read`     | whole-file reads                  | —                         |
+//! | `vfs.read`     | whole-file and positioned reads   | —                         |
 //! | `vfs.write`    | whole-file replace                | prefix persists, then EIO |
 //! | `vfs.append`   | append to an open handle          | prefix persists, then EIO |
 //! | `vfs.sync`     | `sync_data` on an open handle     | short fsync: half the pending delta becomes durable, then EIO |
@@ -60,6 +60,17 @@ pub trait VfsFile: Send + Sync {
     fn set_len(&self, len: u64) -> StorageResult<()>;
     /// Read the entire current contents.
     fn read_all(&self) -> StorageResult<Vec<u8>>;
+    /// Read up to `len` bytes starting at byte `offset`; fewer when the
+    /// file ends first. The default reads the whole file and slices it,
+    /// so a wrapper that does not forward this call stays correct, just
+    /// not O(`len`); [`RealVfs`] and [`SimVfs`] read only the range.
+    fn read_at(&self, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
+        let mut raw = self.read_all()?;
+        let start = usize::try_from(offset).map_or(raw.len(), |o| o.min(raw.len()));
+        raw.truncate(start.saturating_add(len));
+        raw.drain(..start);
+        Ok(raw)
+    }
 }
 
 /// The filesystem surface the storage engine needs — nothing more.
@@ -155,6 +166,24 @@ impl VfsFile for RealFile {
         file.seek(SeekFrom::Start(0))?;
         let mut raw = Vec::new();
         file.read_to_end(&mut raw)?;
+        Ok(raw)
+    }
+
+    #[cfg(unix)]
+    fn read_at(&self, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
+        use std::os::unix::fs::FileExt;
+        real_fail("vfs.read", &self.path)?;
+        let mut raw = vec![0u8; len];
+        let mut filled = 0usize;
+        while let Some(rest) = raw.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+            match self.file.read_at(rest, offset.saturating_add(filled as u64)) {
+                Ok(0) => break, // end of file
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        raw.truncate(filled);
         Ok(raw)
     }
 }
@@ -575,6 +604,17 @@ impl VfsFile for SimFile {
         }
         Ok(self.state.lock().visible.get(&self.path).cloned().unwrap_or_default())
     }
+
+    fn read_at(&self, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
+        if self.fail("vfs.read").is_some() {
+            return Err(injected("vfs.read", &self.path));
+        }
+        let state = self.state.lock();
+        let content = state.visible.get(&self.path).map(Vec::as_slice).unwrap_or_default();
+        let start = usize::try_from(offset).map_or(content.len(), |o| o.min(content.len()));
+        let end = start.saturating_add(len).min(content.len());
+        Ok(content.get(start..end).unwrap_or_default().to_vec())
+    }
 }
 
 impl Vfs for SimVfs {
@@ -818,6 +858,53 @@ mod tests {
         assert!(f.sync_data().is_err());
         assert_eq!(vfs.durable_image().get(&p("WAL")).unwrap(), b"baseABCD");
         assert_eq!(vfs.durable_site_count(), 2, "a short fsync is still a durable site");
+    }
+
+    /// A handle that forwards everything but `read_at`, so the trait's
+    /// whole-file default answers positioned reads.
+    struct DefaultReadAt(Arc<dyn VfsFile>);
+
+    impl VfsFile for DefaultReadAt {
+        fn append(&self, data: &[u8]) -> StorageResult<()> {
+            self.0.append(data)
+        }
+        fn sync_data(&self) -> StorageResult<()> {
+            self.0.sync_data()
+        }
+        fn set_len(&self, len: u64) -> StorageResult<()> {
+            self.0.set_len(len)
+        }
+        fn read_all(&self) -> StorageResult<Vec<u8>> {
+            self.0.read_all()
+        }
+    }
+
+    #[test]
+    fn positioned_reads_slice_the_visible_contents() {
+        let dir = std::env::temp_dir().join(format!("softrep-vfs-read-at-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sim = SimVfs::new();
+        let real_file = RealVfs::new().open_append(&dir.join("WAL")).unwrap();
+        let sim_file = sim.open_append(&p("WAL")).unwrap();
+        let files = [
+            Arc::clone(&real_file),
+            Arc::clone(&sim_file),
+            Arc::new(DefaultReadAt(sim_file)) as Arc<dyn VfsFile>,
+        ];
+        let data = b"0123456789abcdef";
+        real_file.append(data).unwrap();
+        files[1].append(data).unwrap();
+        for file in &files {
+            for (offset, len) in [(0, 16), (0, 0), (3, 4), (10, 100), (16, 1), (40, 8)] {
+                let start = (offset as usize).min(data.len());
+                let end = (start + len).min(data.len());
+                assert_eq!(file.read_at(offset, len).unwrap(), &data[start..end], "{offset}+{len}");
+            }
+        }
+        sim.failpoints().set("vfs.read", FailAction::Nth(Fault::Err, 1));
+        assert!(files[1].read_at(0, 4).is_err(), "vfs.read covers positioned reads");
+        assert_eq!(files[1].read_at(0, 4).unwrap(), b"0123");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -202,28 +202,11 @@ impl Wal {
         };
 
         let mut entries = Vec::new();
-        let mut offset = 0usize;
-        let valid_prefix = loop {
-            // A missing or truncated header is a torn tail.
-            let Some((len, crc)) = frame_header(&raw, offset) else {
-                break offset;
-            };
-            if len > MAX_ENTRY_LEN {
-                break offset; // corrupt length field
-            }
-            let body_start = offset + 8;
-            let Some(body) = body_start
-                .checked_add(len as usize)
-                .and_then(|body_end| raw.get(body_start..body_end))
-            else {
-                break offset; // torn body
-            };
-            if crc32(body) != crc {
-                break offset; // corrupted entry — treat as torn tail
-            }
+        let mut valid_prefix = 0usize;
+        while let Ok(body) = next_frame(&raw, valid_prefix) {
             entries.push(body.to_vec());
-            offset = body_start + body.len();
-        };
+            valid_prefix += FRAME_HEADER + body.len();
+        }
 
         let torn = valid_prefix < raw.len();
         if torn {
@@ -254,58 +237,59 @@ struct FrameScan {
     valid_len: usize,
 }
 
-/// Iterate the valid frame payloads of a raw log image, in append order,
-/// stopping at the first torn/corrupt frame — the same acceptance rule as
-/// replay, shared with the store's replication reader (which walks log
-/// images it read through the [`Vfs`] seam without opening a `Wal`).
-pub(crate) fn valid_frames(raw: &[u8]) -> impl Iterator<Item = &[u8]> {
-    let mut offset = 0usize;
-    std::iter::from_fn(move || {
-        let (len, crc) = frame_header(raw, offset)?;
-        if len > MAX_ENTRY_LEN {
-            return None;
-        }
-        let body_start = offset + 8;
-        let body = body_start.checked_add(len as usize).and_then(|end| raw.get(body_start..end))?;
-        if crc32(body) != crc {
-            return None;
-        }
-        offset = body_start + body.len();
-        Some(body)
-    })
-}
-
 /// Walk the frames of `raw`, stopping at the first torn/corrupt one.
 fn scan_frames(raw: &[u8]) -> FrameScan {
     let mut entries = 0u64;
-    let mut offset = 0usize;
-    while let Some((len, crc)) = frame_header(raw, offset) {
-        if len > MAX_ENTRY_LEN {
-            break;
-        }
-        let body_start = offset + 8;
-        let Some(body) =
-            body_start.checked_add(len as usize).and_then(|body_end| raw.get(body_start..body_end))
-        else {
-            break;
-        };
-        if crc32(body) != crc {
-            break;
-        }
+    let mut valid_len = 0usize;
+    while let Ok(body) = next_frame(raw, valid_len) {
         entries += 1;
-        offset = body_start + body.len();
+        valid_len += FRAME_HEADER + body.len();
     }
-    FrameScan { entries, valid_len: offset }
+    FrameScan { entries, valid_len }
 }
 
-/// Decode the `(len, crc)` frame header at `offset`, or `None` when fewer
-/// than 8 bytes remain (a clean end of log or a torn header — the caller
-/// treats both as the end of the valid prefix).
-fn frame_header(raw: &[u8], offset: usize) -> Option<(u32, u32)> {
-    let header = raw.get(offset..offset.checked_add(8)?)?;
-    let len = u32::from_le_bytes(header.get(..4)?.try_into().ok()?);
-    let crc = u32::from_le_bytes(header.get(4..8)?.try_into().ok()?);
-    Some((len, crc))
+/// Bytes of a frame header: `len` then `crc32`, both u32 LE.
+pub(crate) const FRAME_HEADER: usize = 8;
+
+/// Why [`next_frame`] found no valid frame at an offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameEnd {
+    /// `raw` ends before the frame does: the frame (header included)
+    /// needs `need` bytes from its offset. At the end of a whole log this
+    /// is a torn tail; a reader holding only part of the log reads more.
+    Short {
+        /// Bytes the frame needs, counted from its first header byte.
+        need: usize,
+    },
+    /// The length field is out of bounds or the CRC does not match.
+    Corrupt,
+}
+
+/// The frame-acceptance rule, shared by replay, open's scan and the
+/// store's replication page reader: decode the frame starting at `offset`
+/// of `raw` and return its payload when its length is sane and its CRC
+/// checks out.
+pub(crate) fn next_frame(raw: &[u8], offset: usize) -> Result<&[u8], FrameEnd> {
+    let short = |need| FrameEnd::Short { need };
+    let header = offset
+        .checked_add(FRAME_HEADER)
+        .and_then(|end| raw.get(offset..end))
+        .ok_or(short(FRAME_HEADER))?;
+    let word =
+        |at: usize| header.get(at..at + 4).and_then(|b| b.try_into().ok()).map(u32::from_le_bytes);
+    let (Some(len), Some(crc)) = (word(0), word(4)) else { return Err(short(FRAME_HEADER)) };
+    if len > MAX_ENTRY_LEN {
+        return Err(FrameEnd::Corrupt);
+    }
+    let need = FRAME_HEADER + len as usize;
+    let body = offset
+        .checked_add(need)
+        .and_then(|end| raw.get(offset + FRAME_HEADER..end))
+        .ok_or(short(need))?;
+    if crc32(body) != crc {
+        return Err(FrameEnd::Corrupt);
+    }
+    Ok(body)
 }
 
 #[cfg(test)]

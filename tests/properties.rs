@@ -375,16 +375,24 @@ fn single_fault_crash_schedules_recover_every_committed_batch() {
 
 /// Random primary workloads tailed under random kill/reconnect schedules:
 /// pages cut mid-apply (a killed replica), stale resubscribes (a lost
-/// response redelivered), replica and primary reopens, and compactions
-/// forcing snapshot bootstraps. After every step the replica's applied
-/// watermark `w` must identify a **gapless prefix**: its user-visible
-/// contents equal the fold of the primary's committed batches `1..=w`,
-/// `w` never exceeds the primary's committed sequence, and never
-/// regresses. At quiesce the replica drains to full byte equality.
+/// response redelivered), replica reopens, primary reopens (some after a
+/// torn append), and compactions forcing snapshot bootstraps. After every
+/// step the replica's applied watermark `w` must identify a **gapless
+/// prefix**: its user-visible contents equal the fold of the primary's
+/// committed batches `1..=w`, `w` never exceeds the primary's committed
+/// sequence, and never regresses. At quiesce the replica drains to full
+/// byte equality. Every page the primary serves must equal the one the
+/// whole-log reference reader (`tests/support/repl_oracle.rs`) computes.
 #[test]
 fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
     use std::collections::BTreeMap;
+    use std::path::Path;
     use std::sync::Arc;
+
+    use softwareputation::storage::{FailAction, Fault};
+
+    #[path = "support/repl_oracle.rs"]
+    mod repl_oracle;
 
     use softwareputation::storage::replication::{
         applied_watermark, apply_replicated, install_snapshot,
@@ -438,6 +446,35 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
         map
     }
 
+    const PRIMARY_DIR: &str = "/sim/repl-prop-p";
+
+    /// `primary.replication_read`, checked against the reference reader.
+    fn read_page(
+        primary: &Store,
+        vfs: &SimVfs,
+        from_seq: u64,
+        max_entries: usize,
+        max_bytes: usize,
+        ctx: &dyn Fn(&str) -> String,
+    ) -> ReplRead {
+        let page = primary.replication_read(from_seq, max_entries, max_bytes).expect("read");
+        let reference = repl_oracle::whole_log_read(
+            vfs,
+            Path::new(PRIMARY_DIR),
+            from_seq,
+            primary.committed_seq(),
+            max_entries,
+            max_bytes,
+        );
+        assert_eq!(
+            page,
+            reference,
+            "{}",
+            ctx(&format!("page from {from_seq} caps {max_entries}/{max_bytes} != whole-log read"))
+        );
+        page
+    }
+
     let cases = case_count(40);
     let base = base_seed(0x9e91_ca7e);
     for case in 0..cases {
@@ -452,7 +489,7 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
 
         let primary_vfs = SimVfs::new();
         let replica_vfs = SimVfs::new();
-        let mut primary = open(&primary_vfs, "/sim/repl-prop-p");
+        let mut primary = open(&primary_vfs, PRIMARY_DIR);
         let mut replica = open(&replica_vfs, "/sim/repl-prop-r");
 
         // The committed log, mirrored op-for-op: log[i] is batch seq i+1.
@@ -462,9 +499,21 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
         let steps = (rng.below(60) + 40) as usize;
         for step in 0..steps {
             let w_before = applied_watermark(&replica);
+            let step_ctx = |detail: &str| ctx(step, detail);
             match rng.below(100) {
+                // A burst of puts, long enough to span several WAL index
+                // strides, so pages start between index marks.
+                0..=2 => {
+                    for _ in 0..(rng.below(150) + 20) {
+                        let key = format!("k{}", rng.below(40)).into_bytes();
+                        let v = vec![b'b'; (rng.below(60) + 1) as usize];
+                        primary.put("alpha", key.clone(), v.clone()).expect("put");
+                        log.push(vec![("alpha".to_string(), key, Some(v))]);
+                        writes += 1;
+                    }
+                }
                 // Mixed write on the primary (put / delete / multi-op).
-                0..=44 => {
+                3..=44 => {
                     let tree = ["alpha", "beta", "gamma"][rng.below(3) as usize].to_string();
                     let key = format!("k{}", rng.below(40)).into_bytes();
                     let mut ops: Vec<Op> = Vec::new();
@@ -492,9 +541,10 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
                 // it (a kill mid-page leaves the rest undelivered).
                 45..=69 => {
                     let w = applied_watermark(&replica);
-                    let max_entries = (rng.below(6) + 1) as usize;
-                    let max_bytes = [32usize, 256, 4096][rng.below(3) as usize];
-                    match primary.replication_read(w, max_entries, max_bytes).expect("read") {
+                    let max_entries =
+                        if rng.chance(20) { 100 } else { (rng.below(6) + 1) as usize };
+                    let max_bytes = [32usize, 256, 4096, 1 << 20][rng.below(4) as usize];
+                    match read_page(&primary, &primary_vfs, w, max_entries, max_bytes, &step_ctx) {
                         ReplRead::Entries { entries, .. } => {
                             let cut = if rng.chance(25) {
                                 rng.below(entries.len().max(1) as u64) as usize
@@ -517,9 +567,10 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
                 // re-request from an old watermark; redelivered entries
                 // at or below the real watermark must be skipped.
                 70..=77 => {
-                    let w = applied_watermark(&replica).saturating_sub(rng.below(5));
+                    let back = if rng.chance(25) { rng.below(200) } else { rng.below(5) };
+                    let w = applied_watermark(&replica).saturating_sub(back);
                     if let ReplRead::Entries { entries, .. } =
-                        primary.replication_read(w, 8, 4096).expect("stale read")
+                        read_page(&primary, &primary_vfs, w, 8, 4096, &step_ctx)
                     {
                         for e in &entries {
                             apply_replicated(&replica, e)
@@ -533,10 +584,18 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
                     replica = open(&replica_vfs, "/sim/repl-prop-r");
                 }
                 // Primary crash + recovery (sequence numbering must
-                // resume exactly).
+                // resume exactly). Half the time the crash tears a write
+                // mid-append first: the write fails, so it never
+                // committed, and reopen truncates the torn tail.
                 86..=92 => {
+                    if rng.chance(50) {
+                        primary_vfs.failpoints().set("vfs.append", FailAction::Every(Fault::Torn));
+                        let torn = primary.put("alpha", b"torn".to_vec(), vec![b't'; 40]);
+                        primary_vfs.failpoints().clear_all();
+                        assert!(torn.is_err(), "{}", ctx(step, "torn append reported success"));
+                    }
                     drop(primary);
-                    primary = open(&primary_vfs, "/sim/repl-prop-p");
+                    primary = open(&primary_vfs, PRIMARY_DIR);
                     assert_eq!(
                         primary.committed_seq(),
                         log.len() as u64,
@@ -580,7 +639,8 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
             }
             guard += 1;
             assert!(guard < 10_000, "case {case} seed {seed}: drain did not converge");
-            match primary.replication_read(w, 64, 1 << 20).expect("drain read") {
+            let drain_ctx = |detail: &str| format!("case {case} seed {seed} drain: {detail}");
+            match read_page(&primary, &primary_vfs, w, 64, 1 << 20, &drain_ctx) {
                 ReplRead::Entries { entries, .. } => {
                     for e in &entries {
                         apply_replicated(&replica, e).expect("drain apply");
