@@ -82,13 +82,13 @@ SOFTREP_FRONTEND=epoll cargo test --offline -q -p softrep-server \
 
 step "7/13 property shard (fixed + randomized seed)"
 # Fixed seed: reproduces the checked-in baseline exactly.
-SOFTREP_PROP_SEED=0x5eedcafe SOFTREP_PROP_CASES=200 \
+PROPTEST_SEED_OFFSET=0 PROPTEST_CASES=200 \
     cargo test --offline -q --test properties
-# Randomized seed: each CI run explores fresh workloads. The harness
-# prints the seed on failure, so any counterexample is replayable.
+# Randomized seed: each CI run explores fresh workloads. A failure is
+# shrunk and printed with the PROPTEST_SEED_OFFSET that replays it.
 PROP_SEED="$(date +%s)"
 printf 'property shard randomized seed: %s\n' "$PROP_SEED"
-SOFTREP_PROP_SEED="$PROP_SEED" SOFTREP_PROP_CASES=100 \
+PROPTEST_SEED_OFFSET="$PROP_SEED" PROPTEST_CASES=100 \
     cargo test --offline -q --test properties
 
 step "8/13 loom race-detection shards (server + storage)"
@@ -99,14 +99,14 @@ step "9/13 crash-matrix shard (fixed + randomized seed)"
 # Fixed seed: the canonical schedule, byte-for-byte reproducible. Time-
 # budgeted: the whole matrix is sub-second, so a multi-minute run means a
 # recovery loop is wedged — fail fast rather than eat the CI budget.
-timeout 300 env SOFTREP_CRASH_SEED=0xC0FFEE \
+timeout 300 env PROPTEST_SEED_OFFSET=0 \
     cargo test --offline -q --test crash_matrix
 # Randomized seed: every CI run explores a fresh workload shape. The seed
-# is printed here and baked into every assertion message, so a failure is
-# replayable with SOFTREP_CRASH_SEED=<seed>.
+# is printed here and in the failure report, so a failure is replayable
+# with PROPTEST_SEED_OFFSET=<seed>.
 CRASH_SEED="$(date +%s)"
 printf 'crash-matrix randomized seed: %s\n' "$CRASH_SEED"
-timeout 300 env SOFTREP_CRASH_SEED="$CRASH_SEED" \
+timeout 300 env PROPTEST_SEED_OFFSET="$CRASH_SEED" \
     cargo test --offline -q --test crash_matrix randomized
 
 step "10/13 bench smoke (concurrency + replication catch-up)"
@@ -188,7 +188,7 @@ step "12/13 replication shard (fault sweep + primary/2-replica topology)"
 cargo test --offline -q -p softrep-server --test repl
 REPL_SEED="$(date +%s)"
 printf 'replication property randomized seed: %s\n' "$REPL_SEED"
-SOFTREP_PROP_SEED="$REPL_SEED" SOFTREP_PROP_CASES=40 \
+PROPTEST_SEED_OFFSET="$REPL_SEED" PROPTEST_CASES=40 \
     cargo test --offline -q --test properties replica_watermark
 
 # Half two: the release binary in both roles. Boot a primary and two

@@ -17,6 +17,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
 use softrep_core::clock::SimClock;
 use softrep_core::db::ReputationDb;
 use softrep_proto::framing::write_frame;
@@ -92,24 +96,6 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
     while !cond() {
         assert!(Instant::now() < deadline, "not reached within 5s: {what}");
         std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Same generator as the failpoint registry's `Chance` action — tiny,
-/// seedable, and dependency-free.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
     }
 }
 
@@ -214,57 +200,19 @@ fn shed_path_engages_while_stalled_peers_pin_the_workers() {
     }
 }
 
-/// Seeded random sweep: a few dozen connections each misbehave in a
-/// randomly chosen way. Whatever the schedule, every connection ends,
-/// no capacity leaks, well-formed requests are all answered, and the
-/// server still serves. Reproduce a failure with
-/// `SOFTREP_CHAOS_SEED=<seed> cargo test -p softrep-server --test chaos`.
-#[test]
-fn seeded_fault_sweep_never_degrades_the_service() {
-    let seed: u64 =
-        std::env::var("SOFTREP_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xdecaf);
-    for frontend in frontends() {
-        let mut rng = SplitMix64(seed);
-        let (fe, _server) = spawn_with(frontend, Duration::from_millis(300));
-
-        let connections = 32;
-        let mut well_formed = 0u64;
-        for i in 0..connections {
-            let ctx = || format!("{frontend:?}, seed {seed}, connection {i}");
-            run_sweep_connection(&fe, &mut rng, i, &ctx, &mut well_formed, &mut Vec::new());
-        }
-
-        // Every connection winds down (the stragglers at the read
-        // deadline) and no capacity leaks.
-        wait_for("all chaos connections closed", || {
-            let s = fe.stats();
-            s.closed + s.rejected_overload >= connections
-        });
-        wait_for("no active connections", || fe.stats().active == 0);
-        let stats = fe.stats();
-        assert_eq!(
-            stats.requests_served, well_formed,
-            "{frontend:?}, seed {seed}: every well-formed request answered, malformed ones \
-             never dispatched"
-        );
-        assert_service_healthy(&fe);
-        fe.shutdown();
-    }
-}
-
 /// One connection of the seeded sweep. Responses received on well-formed
 /// exchanges are appended to `transcript` (raw frame bytes) so the
 /// differential test can compare front ends byte-for-byte; fault cases
 /// append a fixed marker keyed by the case.
 fn run_sweep_connection(
     fe: &FrontendServer,
-    rng: &mut SplitMix64,
+    rng: &mut StdRng,
     i: u64,
     ctx: &dyn Fn() -> String,
     well_formed: &mut u64,
     transcript: &mut Vec<Vec<u8>>,
 ) {
-    match rng.below(6) {
+    match rng.gen_range(0..6) {
         // A healthy request/response exchange; the queried id varies per
         // connection so the echoed response body differs too.
         0 => {
@@ -284,7 +232,7 @@ fn run_sweep_connection(
         2 => {
             let mut stream = TcpStream::connect(fe.local_addr()).unwrap();
             let body = query().encode();
-            let keep = rng.below(body.len() as u64) as usize;
+            let keep = rng.gen_range(0..body.len());
             stream.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
             stream.write_all(&body.as_bytes()[..keep]).unwrap();
             transcript.push(b"<truncated>".to_vec());
@@ -319,50 +267,67 @@ fn run_sweep_connection(
     }
 }
 
-/// Differential oracle: the thread front end and the epoll reactor must
-/// produce **byte-identical** response transcripts for the same seeded
-/// 32-connection misbehaviour schedule against identically-seeded
-/// servers. The thread pool is the simple, obviously-correct
-/// implementation; any divergence is a reactor bug.
-#[cfg(target_os = "linux")]
-#[test]
-fn differential_sweep_is_byte_identical_across_front_ends() {
-    let seed: u64 =
-        std::env::var("SOFTREP_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xdecaf);
+/// The seeded 32-connection sweep against one front end, returning its
+/// response transcript. Whatever the schedule, every connection ends, no
+/// capacity leaks, well-formed requests are all answered, malformed ones
+/// are never dispatched, and the server still serves.
+fn sweep(frontend: Frontend, seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (fe, _server) = spawn_with(frontend, Duration::from_millis(300));
+    let mut transcript = Vec::new();
+    let mut well_formed = 0u64;
+    for i in 0..32u64 {
+        let ctx = || format!("{frontend:?}, connection {i}");
+        run_sweep_connection(&fe, &mut rng, i, &ctx, &mut well_formed, &mut transcript);
+    }
+    // Every connection winds down (the stragglers at the read deadline).
+    wait_for("sweep settled", || {
+        let s = fe.stats();
+        s.closed + s.rejected_overload >= 32 && s.active == 0
+    });
+    assert_eq!(fe.stats().requests_served, well_formed, "{frontend:?}");
+    assert_service_healthy(&fe);
+    fe.shutdown();
+    transcript
+}
 
-    let run = |frontend: Frontend| -> Vec<Vec<u8>> {
-        let mut rng = SplitMix64(seed);
-        let (fe, _server) = spawn_with(frontend, Duration::from_millis(300));
-        let mut transcript = Vec::new();
-        let mut well_formed = 0u64;
-        for i in 0..32u64 {
-            let ctx = || format!("{frontend:?}, seed {seed}, connection {i}");
-            run_sweep_connection(&fe, &mut rng, i, &ctx, &mut well_formed, &mut transcript);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// Seeded random sweep: a few dozen connections each misbehave in a
+    /// randomly chosen way, against every front end. A failure reports the
+    /// `PROPTEST_SEED_OFFSET` that replays it.
+    #[test]
+    fn seeded_fault_sweep_never_degrades_the_service(seed in 0..u64::MAX) {
+        for frontend in frontends() {
+            sweep(frontend, seed);
         }
-        wait_for("sweep settled", || {
-            let s = fe.stats();
-            s.closed + s.rejected_overload >= 32 && s.active == 0
-        });
-        assert_eq!(fe.stats().requests_served, well_formed, "{frontend:?}");
-        fe.shutdown();
-        transcript
-    };
+    }
 
-    let threads = run(Frontend::Threads);
-    let epoll = run(Frontend::Epoll);
-    assert_eq!(threads.len(), epoll.len());
-    let markers: [&[u8]; 4] = [b"<hangup>", b"<truncated>", b"<oversized>", b"<partial-header>"];
-    assert!(
-        threads.iter().any(|t| !markers.contains(&t.as_slice())),
-        "the seeded schedule must exercise at least one served response"
-    );
-    for (i, (t, e)) in threads.iter().zip(&epoll).enumerate() {
-        assert_eq!(
-            t,
-            e,
-            "seed {seed}, connection {i}: front ends diverged\n threads: {:?}\n epoll:   {:?}",
-            String::from_utf8_lossy(t),
-            String::from_utf8_lossy(e)
+    /// Differential oracle: the thread front end and the epoll reactor must
+    /// produce **byte-identical** response transcripts for the same seeded
+    /// 32-connection misbehaviour schedule against identically-seeded
+    /// servers. The thread pool is the simple, obviously-correct
+    /// implementation; any divergence is a reactor bug.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn differential_sweep_is_byte_identical_across_front_ends(seed in 0..u64::MAX) {
+        let threads = sweep(Frontend::Threads, seed);
+        let epoll = sweep(Frontend::Epoll, seed);
+        assert_eq!(threads.len(), epoll.len());
+        let markers: [&[u8]; 4] = [b"<hangup>", b"<truncated>", b"<oversized>", b"<partial-header>"];
+        assert!(
+            threads.iter().any(|t| !markers.contains(&t.as_slice())),
+            "the seeded schedule must exercise at least one served response"
         );
+        for (i, (t, e)) in threads.iter().zip(&epoll).enumerate() {
+            assert_eq!(
+                t,
+                e,
+                "connection {i}: front ends diverged\n threads: {:?}\n epoll:   {:?}",
+                String::from_utf8_lossy(t),
+                String::from_utf8_lossy(e)
+            );
+        }
     }
 }

@@ -224,8 +224,8 @@ fn parse_fault(token: &str) -> Result<Fault, String> {
     }
 }
 
-/// One SplitMix64 step — the same generator the property harness uses,
-/// inlined so the storage crate stays dependency-free.
+/// One SplitMix64 step (Steele et al.), inlined so the storage crate
+/// stays dependency-free.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

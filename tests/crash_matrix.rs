@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,11 +26,26 @@ mod crash;
 #[path = "support/tempdir.rs"]
 mod tempdir;
 
-use crash::{check_recovery, materialize, record_canonical_workload, site_label};
+use crash::{check_recovery, materialize, record_canonical_workload, site_label, Recording};
 use tempdir::TempDir;
 
 const STYLES: [CrashStyle; 3] =
     [CrashStyle::DurableOnly, CrashStyle::TornHalf, CrashStyle::AllPending];
+
+/// Recover the image a crash at every durable site of `rec` leaves —
+/// `k == rec.sites` is the "no crash" end of the range — under every
+/// crash style; `workload` prefixes each assertion label.
+fn recover_at_every_site(rec: &Recording, tag: &str, workload: &str) {
+    let dir = TempDir::new(tag);
+    for k in 0..=rec.sites {
+        for style in STYLES {
+            let label = format!("{workload}{}", site_label(rec, k, style));
+            let image = durable_image_at(&rec.log, k, style);
+            materialize(&image, dir.path());
+            check_recovery(dir.path(), rec, k, &label);
+        }
+    }
+}
 
 /// The tentpole assertion: the canonical workload exposes a rich schedule
 /// (ISSUE acceptance: at least 25 distinct durable-effect sites) and the
@@ -43,17 +59,7 @@ fn canonical_workload_recovers_at_every_durable_site() {
          needs >= 25 to cover append/sync/rotate/snapshot/retire schedules",
         rec.sites
     );
-
-    let dir = TempDir::new("crash-matrix");
-    // k == rec.sites is the "no crash" end of the range and must also hold.
-    for k in 0..=rec.sites {
-        for style in STYLES {
-            let label = site_label(&rec, k, style);
-            let image = durable_image_at(&rec.log, k, style);
-            materialize(&image, dir.path());
-            check_recovery(dir.path(), &rec, k, &label);
-        }
-    }
+    recover_at_every_site(&rec, "crash-matrix", "");
 }
 
 /// The final image (all sites durable) recovers the complete history.
@@ -67,36 +73,21 @@ fn final_image_recovers_every_batch() {
     assert_eq!(n, rec.total_batches, "fully-synced image must recover every batch");
 }
 
-/// Randomized exploration: workload shape (batch count, compaction points)
-/// is drawn from `SOFTREP_CRASH_SEED` (or a fixed default), and the seed is
-/// baked into every assertion label so a CI failure is reproducible with
-/// `SOFTREP_CRASH_SEED=<seed> cargo test -q --test crash_matrix`.
-#[test]
-fn randomized_workload_recovers_at_every_durable_site() {
-    let seed: u64 =
-        std::env::var("SOFTREP_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xC0FFEE);
-    let mut rng = StdRng::seed_from_u64(seed);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
 
-    let total = rng.gen_range(8..=24);
-    let mut compact_after: Vec<usize> = Vec::new();
-    for i in 0..total {
-        if rng.gen_bool(0.2) {
-            compact_after.push(i);
-        }
-    }
-    let rec = record_canonical_workload(total, &compact_after);
+    /// Randomized exploration: the workload shape (batch count, compaction
+    /// points) is drawn from `seed`. A failure reports the
+    /// `PROPTEST_SEED_OFFSET` that replays it.
+    #[test]
+    fn randomized_workload_recovers_at_every_durable_site(seed in 0..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
 
-    let dir = TempDir::new("crash-random");
-    for k in 0..=rec.sites {
-        for style in STYLES {
-            let label = format!(
-                "seed {seed} (workload: {total} batches, compact after {compact_after:?}) {}",
-                site_label(&rec, k, style)
-            );
-            let image = durable_image_at(&rec.log, k, style);
-            materialize(&image, dir.path());
-            check_recovery(dir.path(), &rec, k, &label);
-        }
+        let total = rng.gen_range(8..=24);
+        let compact_after: Vec<usize> = (0..total).filter(|_| rng.gen_bool(0.2)).collect();
+        let rec = record_canonical_workload(total, &compact_after);
+        let workload = format!("{total} batches, compact after {compact_after:?}: ");
+        recover_at_every_site(&rec, "crash-random", &workload);
     }
 }
 

@@ -1,113 +1,215 @@
-//! Property-test harness: the incremental aggregation engine is
-//! behaviourally equivalent to the paper's full 24 h batch.
+//! Property tests over the paper's rules and the machinery under them.
 //!
-//! Each case replays one random workload (votes, comments, remarks, trust
-//! adjustments, moderation, time advances) against two databases in
-//! lockstep — one aggregating incrementally, one with the paper-faithful
-//! full scan — and asserts their entire rating tables agree bit-for-bit
-//! (modulo `computed_at`, which the full path restamps on clean titles) at
-//! every batch.
+//! The central one: the incremental aggregation engine is behaviourally
+//! equivalent to the paper's full 24 h batch. Each case replays one random
+//! workload (votes, comments, remarks, trust adjustments, moderation, time
+//! advances) against two databases in lockstep — one aggregating
+//! incrementally, one with the paper-faithful full scan — and asserts
+//! their entire rating tables agree bit-for-bit (modulo `computed_at`,
+//! which the full path restamps on clean titles) at every batch.
 //!
-//! Knobs (see `tests/support/prop.rs`):
-//! * `SOFTREP_PROP_CASES` — number of random workloads (default 200).
-//! * `SOFTREP_PROP_SEED` — base seed; failures print the exact seed and a
-//!   shrunk counterexample so every report is replayable.
+//! Every property runs on the vendored `proptest`: `PROPTEST_CASES`
+//! overrides each test's case count and `PROPTEST_SEED_OFFSET` (decimal or
+//! `0x` hex) selects the generated stream. A failure is shrunk — a
+//! diverging workload to a 1-minimal op sequence — and reported with the
+//! `PROPTEST_SEED_OFFSET` that replays it.
 
 #[path = "support/prop.rs"]
 mod prop;
+#[path = "support/repl_oracle.rs"]
+mod repl_oracle;
+#[path = "support/tempdir.rs"]
+mod tempdir;
 
-use prop::{base_seed, case_count, gen_workload, run_equivalence_case, shrink, SplitMix64, USERS};
+use proptest::collection::vec;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use prop::{run_equivalence_case, Op, TITLES, USERS};
 use softrep_core::aggregate::weighted_mean;
 use softrep_core::clock::Timestamp;
 use softrep_core::trust::{TrustEngine, MAX_TRUST, MIN_TRUST, WEEKLY_TRUST_GROWTH_CAP};
 
-#[test]
-fn incremental_aggregation_equals_full_batch_on_random_workloads() {
-    let cases = case_count(200);
-    let base = base_seed(0x5eed_cafe);
-    for case in 0..cases {
-        let seed = base.wrapping_add(case as u64);
-        let mut rng = SplitMix64::new(seed);
-        let len = (rng.below(80) + 20) as usize;
-        let ops = gen_workload(&mut rng, len);
-        if let Some(diff) = run_equivalence_case(seed, &ops) {
-            // Shrink before reporting: greedy chunk removal while the
-            // divergence persists.
-            let minimized =
-                shrink(ops, |candidate| run_equivalence_case(seed, candidate).is_some());
-            let final_diff = run_equivalence_case(seed, &minimized)
-                .unwrap_or_else(|| "divergence vanished during shrinking".to_string());
-            panic!(
-                "incremental/full divergence (replay with SOFTREP_PROP_SEED={seed} \
-                 SOFTREP_PROP_CASES=1)\nfirst failure: {diff}\n\
-                 minimized to {} ops: {minimized:#?}\nminimized failure: {final_diff}",
-                minimized.len(),
-            );
-        }
-    }
+/// One workload step; votes dominate, as they are the aggregation input.
+fn op() -> impl Strategy<Value = Op> {
+    const BEHAVIOURS: [&str; 4] = ["popup_ads", "tracking", "bad_uninstall", "toolbar"];
+    let user = || 0..USERS.len();
+    let behaviours = vec(0..BEHAVIOURS.len(), 0..3)
+        .prop_map(|picks| picks.into_iter().map(|i| BEHAVIOURS[i].to_string()).collect());
+    prop_oneof![
+        40 => (user(), 0..TITLES, 1u8..=10, behaviours)
+            .prop_map(|(user, title, score, behaviours)| Op::Vote { user, title, score, behaviours }),
+        15 => (user(), 0..TITLES).prop_map(|(user, title)| Op::Comment { user, title }),
+        15 => (user(), 0usize..64, 0u8..10)
+            .prop_map(|(user, nth, roll)| Op::Remark { user, nth, positive: roll < 6 }),
+        // −3.0 .. +8.0 in half-point steps: crosses the clamp floor and the
+        // weekly growth cap.
+        10 => (user(), -6i64..=16)
+            .prop_map(|(user, delta_half_points)| Op::AdjustTrust { user, delta_half_points }),
+        7 => (0u8..10).prop_map(|roll| Op::Moderate { approve: roll < 7 }),
+        7 => (1u64..=3).prop_map(|days| Op::AdvanceDays { days }),
+        6 => Just(Op::Aggregate),
+    ]
 }
 
-#[test]
-fn weighted_mean_stays_in_score_bounds_and_is_none_iff_weightless() {
-    let mut rng = SplitMix64::new(base_seed(0xab5_0b57));
-    for _ in 0..case_count(200) {
-        let n = rng.below(30) as usize;
-        let pairs: Vec<(u8, f64)> = (0..n)
-            .map(|_| {
-                let score = (rng.below(10) + 1) as u8;
-                // Mix zero weights in: they must contribute nothing.
-                let weight =
-                    if rng.chance(20) { 0.0 } else { rng.below(10_000) as f64 / 100.0 + 0.01 };
-                (score, weight)
-            })
-            .collect();
+/// A vote weight in 0.01..=100.0, or zero a fifth of the time: zero
+/// weights must contribute nothing.
+fn weight() -> impl Strategy<Value = f64> {
+    prop_oneof![1 => Just(0.0), 4 => (1u32..=10_000).prop_map(|w| f64::from(w) / 100.0)]
+}
+
+/// A u64 with a random magnitude: raw 64-bit draws alone almost never
+/// exercise the low buckets, so shift by a random amount first.
+fn sample() -> impl Strategy<Value = u64> {
+    (any::<u64>(), 0u32..64).prop_map(|(v, shift)| v >> shift)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Workloads average 60 ops; with no minimum length a diverging one
+    /// shrinks to the few ops that matter.
+    #[test]
+    fn incremental_aggregation_equals_full_batch_on_random_workloads(
+        seed in 0..u64::MAX,
+        ops in vec(op(), 0..120),
+    ) {
+        prop_assert_eq!(run_equivalence_case(seed, &ops), None);
+    }
+
+    #[test]
+    fn weighted_mean_stays_in_score_bounds_and_is_none_iff_weightless(
+        pairs in vec((1u8..=10, weight()), 0..30),
+    ) {
         let any_weight = pairs.iter().any(|(_, w)| *w > 0.0);
         match weighted_mean(pairs.iter().copied()) {
-            None => assert!(!any_weight, "None only when no positive weight exists: {pairs:?}"),
+            None => prop_assert!(!any_weight, "None only when no positive weight exists"),
             Some(mean) => {
-                assert!(any_weight);
-                assert!(
-                    (1.0..=10.0).contains(&mean),
-                    "mean {mean} outside score bounds for {pairs:?}"
-                );
+                prop_assert!(any_weight);
+                prop_assert!((1.0..=10.0).contains(&mean), "mean {mean} outside score bounds");
             }
         }
     }
-}
 
-#[test]
-fn trust_engine_respects_clamp_and_weekly_cap_under_random_deltas() {
-    let mut rng = SplitMix64::new(base_seed(0x0720_57ee));
-    for _ in 0..case_count(200) {
+    /// Steps are (delta in −5.0 .. +7.0 in half-point steps, jump of 0–9 days).
+    #[test]
+    fn trust_engine_respects_clamp_and_weekly_cap_under_random_deltas(
+        steps in vec((0u32..25, 0u64..10), 0..60),
+    ) {
         let mut record = TrustEngine::new_user(USERS[0], Timestamp(0));
         let mut now = Timestamp(0);
         let mut week_start_trust = record.trust;
         let mut current_week = now.week_index();
-        for _ in 0..rng.below(60) {
-            // Deltas in −5.0 .. +7.0, half-point steps; jumps of 0–10 days.
-            let delta = rng.below(25) as f64 * 0.5 - 5.0;
-            now = Timestamp(now.0 + rng.below(10) * 86_400);
+        for (half_points, days) in steps {
+            let delta = f64::from(half_points) * 0.5 - 5.0;
+            now = Timestamp(now.0 + days * 86_400);
             if now.week_index() != current_week {
                 current_week = now.week_index();
                 week_start_trust = record.trust;
             }
             let before = record.trust;
             let applied = TrustEngine::apply_delta(&mut record, delta, now);
-            assert!(
+            prop_assert!(
                 (MIN_TRUST..=MAX_TRUST).contains(&record.trust),
                 "trust {} escaped [{MIN_TRUST}, {MAX_TRUST}]",
                 record.trust
             );
-            assert!(
+            prop_assert!(
                 (record.trust - before - applied).abs() < 1e-9,
                 "apply_delta return value must equal the actual change"
             );
-            assert!(
+            prop_assert!(
                 record.trust - week_start_trust <= WEEKLY_TRUST_GROWTH_CAP + 1e-9,
                 "weekly growth {} exceeds the +{WEEKLY_TRUST_GROWTH_CAP} cap",
                 record.trust - week_start_trust
             );
         }
+    }
+
+    // -----------------------------------------------------------------
+    // Observability histogram (crates/obs): the log-linear histogram must
+    // classify *arbitrary* u64 samples without losing any, keep its bucket
+    // walk monotone, bound every quantile it reports, and merge like the
+    // commutative monoid the sharded exposition assumes it is.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn histogram_buckets_are_monotone_and_lose_no_samples(samples in vec(sample(), 1..=200)) {
+        use softrep_obs::{Histogram, HistogramSnapshot};
+        let hist = Histogram::new();
+        for &v in &samples {
+            hist.record(v);
+        }
+        let n = samples.len();
+        let expected_sum = samples.iter().fold(0u64, |sum, &v| sum.wrapping_add(v));
+        let max = samples.iter().copied().max().unwrap_or(0);
+        let snap = hist.snapshot();
+        prop_assert_eq!(snap.count() as usize, n, "samples lost or double-counted");
+        prop_assert_eq!(snap.sum(), expected_sum, "sum drifted from the samples");
+        // The cumulative walk is sorted by bound and non-decreasing in
+        // count, ends exactly at n, and every sample's bucket bound holds
+        // the sample (bound_of(v) >= v — the readout never understates).
+        let walk = snap.cumulative_buckets();
+        for pair in walk.windows(2) {
+            prop_assert!(pair[0].0 < pair[1].0, "bucket bounds out of order: {walk:?}");
+            prop_assert!(pair[0].1 <= pair[1].1, "cumulative count decreased: {walk:?}");
+        }
+        prop_assert_eq!(walk.last().map(|&(_, c)| c), Some(n as u64));
+        prop_assert!(HistogramSnapshot::bound_of(max) >= max);
+    }
+
+    #[test]
+    fn histogram_quantiles_bound_the_true_order_statistics(mut samples in vec(sample(), 1..=300)) {
+        use softrep_obs::{Histogram, HistogramSnapshot};
+        let hist = Histogram::new();
+        for &v in &samples {
+            hist.record(v);
+        }
+        samples.sort_unstable();
+        let n = samples.len();
+        let snap = hist.snapshot();
+        for &q in &[0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
+            let rank = ((q * n as f64).ceil() as u64).clamp(1, n as u64) as usize;
+            let true_value = samples[rank - 1];
+            let reported = snap.quantile(q);
+            // The readout is the upper bound of the bucket holding the
+            // rank-th sample: never below the true order statistic, and
+            // no looser than that bucket's own bound.
+            prop_assert!(reported >= true_value, "q={q}: reported {reported} < true {true_value}");
+            prop_assert!(
+                reported <= HistogramSnapshot::bound_of(true_value),
+                "q={q}: reported {reported} overshoots the bucket bound of {true_value}"
+            );
+        }
+        // Degenerate q is clamped, not misread.
+        prop_assert_eq!(snap.quantile(-1.0), snap.quantile(0.0));
+        prop_assert_eq!(snap.quantile(2.0), snap.quantile(1.0));
+    }
+
+    #[test]
+    fn histogram_merge_is_associative_commutative_with_identity(
+        a in vec(sample(), 0..60),
+        b in vec(sample(), 0..60),
+        c in vec(sample(), 0..60),
+    ) {
+        use softrep_obs::{Histogram, HistogramSnapshot};
+        let shard = |samples: &[u64]| {
+            let hist = Histogram::new();
+            for &v in samples {
+                hist.record(v);
+            }
+            hist.snapshot()
+        };
+        let (a, b, c) = (shard(&a), shard(&b), shard(&c));
+        prop_assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)), "merge is not associative");
+        prop_assert_eq!(a.merge(&b), b.merge(&a), "merge is not commutative");
+        let empty = HistogramSnapshot::empty();
+        prop_assert_eq!(a.merge(&empty), a, "empty is not a right identity");
+        prop_assert_eq!(empty.merge(&a), a, "empty is not a left identity");
+        // Merging is lossless: totals add up.
+        let merged = a.merge(&b);
+        prop_assert_eq!(merged.count(), a.count() + b.count());
     }
 }
 
@@ -128,161 +230,42 @@ fn max_reachable_is_monotone_and_clamped() {
 }
 
 // ---------------------------------------------------------------------
-// Observability histogram (crates/obs): the log-linear histogram must
-// classify *arbitrary* u64 samples without losing any, keep its bucket
-// walk monotone, bound every quantile it reports, and merge like the
-// commutative monoid the sharded exposition assumes it is.
-// ---------------------------------------------------------------------
-
-/// A u64 with a random magnitude: raw 64-bit draws alone almost never
-/// exercise the low buckets, so shift by a random amount first.
-fn arbitrary_sample(rng: &mut SplitMix64) -> u64 {
-    let shift = rng.below(64) as u32;
-    rng.next_u64() >> shift
-}
-
-#[test]
-fn histogram_buckets_are_monotone_and_lose_no_samples() {
-    use softrep_obs::{Histogram, HistogramSnapshot};
-    let base = base_seed(0x0b5_0001);
-    for case in 0..case_count(200) {
-        let mut rng = SplitMix64::new(base.wrapping_add(case as u64));
-        let n = (rng.below(200) + 1) as usize;
-        let hist = Histogram::new();
-        let mut expected_sum = 0u64;
-        let mut max = 0u64;
-        for _ in 0..n {
-            let v = arbitrary_sample(&mut rng);
-            expected_sum = expected_sum.wrapping_add(v);
-            max = max.max(v);
-            hist.record(v);
-        }
-        let snap = hist.snapshot();
-        assert_eq!(snap.count() as usize, n, "samples lost or double-counted");
-        assert_eq!(snap.sum(), expected_sum, "sum drifted from the samples");
-        // The cumulative walk is sorted by bound and non-decreasing in
-        // count, ends exactly at n, and every sample's bucket bound holds
-        // the sample (bound_of(v) >= v — the readout never understates).
-        let walk = snap.cumulative_buckets();
-        for pair in walk.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "bucket bounds out of order: {walk:?}");
-            assert!(pair[0].1 <= pair[1].1, "cumulative count decreased: {walk:?}");
-        }
-        assert_eq!(walk.last().map(|&(_, c)| c), Some(n as u64));
-        assert!(HistogramSnapshot::bound_of(max) >= max);
-    }
-}
-
-#[test]
-fn histogram_quantiles_bound_the_true_order_statistics() {
-    use softrep_obs::{Histogram, HistogramSnapshot};
-    let base = base_seed(0x0b5_0002);
-    for case in 0..case_count(200) {
-        let mut rng = SplitMix64::new(base.wrapping_add(case as u64));
-        let n = (rng.below(300) + 1) as usize;
-        let hist = Histogram::new();
-        let mut samples: Vec<u64> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = arbitrary_sample(&mut rng);
-            samples.push(v);
-            hist.record(v);
-        }
-        samples.sort_unstable();
-        let snap = hist.snapshot();
-        for &q in &[0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            let rank = ((q * n as f64).ceil() as u64).clamp(1, n as u64) as usize;
-            let true_value = samples[rank - 1];
-            let reported = snap.quantile(q);
-            // The readout is the upper bound of the bucket holding the
-            // rank-th sample: never below the true order statistic, and
-            // no looser than that bucket's own bound.
-            assert!(
-                reported >= true_value,
-                "q={q}: reported {reported} < true {true_value} (seed case {case})"
-            );
-            assert!(
-                reported <= HistogramSnapshot::bound_of(true_value),
-                "q={q}: reported {reported} overshoots the bucket bound of {true_value}"
-            );
-        }
-        // Degenerate q is clamped, not misread.
-        assert_eq!(snap.quantile(-1.0), snap.quantile(0.0));
-        assert_eq!(snap.quantile(2.0), snap.quantile(1.0));
-    }
-}
-
-#[test]
-fn histogram_merge_is_associative_commutative_with_identity() {
-    use softrep_obs::{Histogram, HistogramSnapshot};
-    let base = base_seed(0x0b5_0003);
-    for case in 0..case_count(200) {
-        let mut rng = SplitMix64::new(base.wrapping_add(case as u64));
-        let shard = |rng: &mut SplitMix64| {
-            let hist = Histogram::new();
-            for _ in 0..rng.below(60) {
-                hist.record(arbitrary_sample(rng));
-            }
-            hist.snapshot()
-        };
-        let (a, b, c) = (shard(&mut rng), shard(&mut rng), shard(&mut rng));
-        assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)), "merge is not associative");
-        assert_eq!(a.merge(&b), b.merge(&a), "merge is not commutative");
-        let empty = HistogramSnapshot::empty();
-        assert_eq!(a.merge(&empty), a, "empty is not a right identity");
-        assert_eq!(empty.merge(&a), a, "empty is not a left identity");
-        // Merging is lossless: totals add up.
-        let merged = a.merge(&b);
-        assert_eq!(merged.count(), a.count() + b.count());
-    }
-}
-
-// ---------------------------------------------------------------------
 // Crash-recovery property: single-fault schedules (DESIGN.md §13)
 // ---------------------------------------------------------------------
 
-/// Random workloads under random single-fault `SimVfs` schedules: every
-/// storage operation either succeeds or returns a typed error (the fault
-/// never panics), and reopening the durable image after a crash at a
-/// random point recovers a gapless, batch-atomic prefix containing every
-/// batch whose apply was confirmed durable before the crash.
-#[test]
-fn single_fault_crash_schedules_recover_every_committed_batch() {
-    use std::sync::Arc;
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
 
-    use softwareputation::storage::failpoint::FailAction;
-    use softwareputation::storage::{
-        durable_image_at, CrashStyle, DurabilityMode, Fault, SimVfs, Store, StoreOptions,
-        WriteBatch,
-    };
+    /// Random workloads under random single-fault `SimVfs` schedules:
+    /// every storage operation either succeeds or returns a typed error
+    /// (the fault never panics), and reopening the durable image after a
+    /// crash at a random point recovers a gapless, batch-atomic prefix
+    /// containing every batch whose apply was confirmed durable before the
+    /// crash. The schedule is drawn while the case runs, from `seed`.
+    #[test]
+    fn single_fault_crash_schedules_recover_every_committed_batch(seed in 0..u64::MAX) {
+        use std::sync::Arc;
 
-    #[path = "support/tempdir.rs"]
-    mod tempdir;
-    use tempdir::TempDir;
-
-    const TREE_A: &str = "prop_a";
-    const TREE_B: &str = "prop_b";
-    const SITES: [&str; 6] =
-        ["vfs.append", "vfs.sync", "vfs.write", "vfs.rename", "vfs.remove", "vfs.create"];
-
-    let key = |i: u64| format!("key-{i:04}").into_bytes();
-    let value = |i: u64| format!("value-{i:04}").into_bytes();
-
-    let cases = case_count(60);
-    let base = base_seed(0xfa17_c4a5);
-    let dir = TempDir::new("prop-crash");
-    for case in 0..cases {
-        let seed = base.wrapping_add(case as u64);
-        let mut rng = SplitMix64::new(seed);
-        let ctx = |detail: &str| {
-            format!(
-                "case {case} (replay with SOFTREP_PROP_SEED={seed} SOFTREP_PROP_CASES=1): {detail}"
-            )
+        use softwareputation::storage::failpoint::FailAction;
+        use softwareputation::storage::{
+            durable_image_at, CrashStyle, DurabilityMode, Fault, SimVfs, Store, StoreOptions,
+            WriteBatch,
         };
+        use tempdir::TempDir;
+
+        const TREE_A: &str = "prop_a";
+        const TREE_B: &str = "prop_b";
+        const SITES: [&str; 6] =
+            ["vfs.append", "vfs.sync", "vfs.write", "vfs.rename", "vfs.remove", "vfs.create"];
+
+        let key = |i: u64| format!("key-{i:04}").into_bytes();
+        let value = |i: u64| format!("value-{i:04}").into_bytes();
+        let mut rng = StdRng::seed_from_u64(seed);
 
         // One fault, armed after open so the initial recovery is clean.
-        let site = SITES[rng.below(SITES.len() as u64) as usize];
-        let fault = if rng.chance(50) { Fault::Torn } else { Fault::Err };
-        let trigger = rng.below(14);
+        let site = SITES[rng.gen_range(0..SITES.len())];
+        let fault = if rng.gen_bool(0.5) { Fault::Torn } else { Fault::Err };
+        let trigger = rng.gen_range(0..14);
 
         let vfs = SimVfs::new();
         let store = Store::open_with_vfs(
@@ -290,13 +273,13 @@ fn single_fault_crash_schedules_recover_every_committed_batch() {
             StoreOptions { durability: DurabilityMode::Always, shards: 2 },
             Arc::new(vfs.clone()),
         )
-        .unwrap_or_else(|e| panic!("{}", ctx(&format!("pristine open failed: {e}"))));
+        .unwrap_or_else(|e| panic!("pristine open failed: {e}"));
         vfs.failpoints().set(site, FailAction::Nth(fault, trigger));
 
         // Random workload: numbered two-tree batches with syncs and
         // compactions mixed in. Everything may fail (typed) once the
         // fault trips; committed = the applies that returned Ok.
-        let batches = rng.below(14) + 6;
+        let batches = rng.gen_range(6..20);
         let mut committed_at: Vec<(u64, usize)> = Vec::new();
         for i in 0..batches {
             let mut batch = WriteBatch::new();
@@ -306,10 +289,10 @@ fn single_fault_crash_schedules_recover_every_committed_batch() {
                 // `Always` mode: Ok means group-commit durable.
                 committed_at.push((i, vfs.durable_site_count()));
             }
-            if rng.chance(15) {
+            if rng.gen_bool(0.15) {
                 let _ = store.sync();
             }
-            if rng.chance(15) {
+            if rng.gen_bool(0.15) {
                 let _ = store.compact();
             }
         }
@@ -319,16 +302,12 @@ fn single_fault_crash_schedules_recover_every_committed_batch() {
         // very end (every durable site applied).
         let log = vfs.event_log();
         let sites = vfs.durable_site_count();
-        let k = rng.below(sites as u64 + 1) as usize;
-        let style = match rng.below(3) {
-            0 => CrashStyle::DurableOnly,
-            1 => CrashStyle::TornHalf,
-            _ => CrashStyle::AllPending,
-        };
+        let k = rng.gen_range(0..=sites);
+        let style =
+            [CrashStyle::DurableOnly, CrashStyle::TornHalf, CrashStyle::AllPending][rng.gen_range(0..3usize)];
         let image = durable_image_at(&log, k, style);
 
-        let _ = std::fs::remove_dir_all(dir.path());
-        std::fs::create_dir_all(dir.path()).expect("recreate materialization dir");
+        let dir = TempDir::new("prop-crash");
         for (path, bytes) in &image {
             let name = path.file_name().expect("image paths have file names");
             std::fs::write(dir.path().join(name), bytes).expect("write image file");
@@ -337,34 +316,28 @@ fn single_fault_crash_schedules_recover_every_committed_batch() {
         let detail =
             format!("fault {site}={fault:?}@{trigger}, crash at site {k}/{sites} style {style:?}");
         let store = Store::open(dir.path())
-            .unwrap_or_else(|e| panic!("{}", ctx(&format!("{detail}: recovery failed: {e}"))));
+            .unwrap_or_else(|e| panic!("{detail}: recovery failed: {e}"));
         let mut recovered = 0u64;
         for i in 0..batches {
             match (store.get(TREE_A, &key(i)), store.get(TREE_B, &key(i))) {
                 (Some(av), Some(bv)) => {
-                    assert_eq!(av, value(i), "{}", ctx(&format!("{detail}: batch {i} corrupt")));
-                    assert_eq!(bv, value(i), "{}", ctx(&format!("{detail}: batch {i} corrupt")));
-                    assert_eq!(recovered, i, "{}", ctx(&format!("{detail}: gap before batch {i}")));
+                    assert_eq!(av, value(i), "{detail}: batch {i} corrupt");
+                    assert_eq!(bv, value(i), "{detail}: batch {i} corrupt");
+                    assert_eq!(recovered, i, "{detail}: gap before batch {i}");
                     recovered += 1;
                 }
                 (None, None) => {}
                 (a, b) => panic!(
-                    "{}",
-                    ctx(&format!(
-                        "{detail}: half-applied batch {i} ({TREE_A}={} {TREE_B}={})",
-                        a.is_some(),
-                        b.is_some()
-                    ))
+                    "{detail}: half-applied batch {i} ({TREE_A}={} {TREE_B}={})",
+                    a.is_some(),
+                    b.is_some()
                 ),
             }
         }
         let required = committed_at.iter().filter(|&&(_, at)| at <= k).count() as u64;
         assert!(
             recovered >= required,
-            "{}",
-            ctx(&format!(
-                "{detail}: lost committed batches — {recovered} recovered, {required} required"
-            ))
+            "{detail}: lost committed batches — {recovered} recovered, {required} required"
         );
     }
 }
@@ -373,119 +346,111 @@ fn single_fault_crash_schedules_recover_every_committed_batch() {
 // Replication property: gapless applied prefix (DESIGN.md §15)
 // ---------------------------------------------------------------------
 
-/// Random primary workloads tailed under random kill/reconnect schedules:
-/// pages cut mid-apply (a killed replica), stale resubscribes (a lost
-/// response redelivered), replica reopens, primary reopens (some after a
-/// torn append), and compactions forcing snapshot bootstraps. After every
-/// step the replica's applied watermark `w` must identify a **gapless
-/// prefix**: its user-visible contents equal the fold of the primary's
-/// committed batches `1..=w`, `w` never exceeds the primary's committed
-/// sequence, and never regresses. At quiesce the replica drains to full
-/// byte equality. Every page the primary serves must equal the one the
-/// whole-log reference reader (`tests/support/repl_oracle.rs`) computes.
-#[test]
-fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
-    use std::collections::BTreeMap;
-    use std::path::Path;
-    use std::sync::Arc;
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
-    use softwareputation::storage::{FailAction, Fault};
+    /// Random primary workloads tailed under random kill/reconnect schedules:
+    /// pages cut mid-apply (a killed replica), stale resubscribes (a lost
+    /// response redelivered), replica reopens, primary reopens (some after a
+    /// torn append), and compactions forcing snapshot bootstraps. After every
+    /// step the replica's applied watermark `w` must identify a **gapless
+    /// prefix**: its user-visible contents equal the fold of the primary's
+    /// committed batches `1..=w`, `w` never exceeds the primary's committed
+    /// sequence, and never regresses. At quiesce the replica drains to full
+    /// byte equality. Every page the primary serves must equal the one the
+    /// whole-log reference reader (`tests/support/repl_oracle.rs`) computes.
+    /// The schedule is drawn while the case runs, from `seed`.
+    #[test]
+    fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules(seed in 0..u64::MAX) {
+        use std::collections::BTreeMap;
+        use std::path::Path;
+        use std::sync::Arc;
 
-    #[path = "support/repl_oracle.rs"]
-    mod repl_oracle;
+        use softwareputation::storage::{FailAction, Fault};
 
-    use softwareputation::storage::replication::{
-        applied_watermark, apply_replicated, install_snapshot,
-    };
-    use softwareputation::storage::{
-        DurabilityMode, ReplRead, SimVfs, Store, StoreOptions, WriteBatch,
-    };
+        use softwareputation::storage::replication::{
+            applied_watermark, apply_replicated, install_snapshot,
+        };
+        use softwareputation::storage::{
+            DurabilityMode, ReplRead, SimVfs, Store, StoreOptions, WriteBatch,
+        };
 
-    /// One committed primary batch, mirrored test-side so the expected
-    /// replica state at any watermark can be refolded exactly.
-    type Op = (String, Vec<u8>, Option<Vec<u8>>);
+        /// One committed primary batch, mirrored test-side so the expected
+        /// replica state at any watermark can be refolded exactly.
+        type Mutation = (String, Vec<u8>, Option<Vec<u8>>);
 
-    fn open(vfs: &SimVfs, path: &str) -> Store {
-        Store::open_with_vfs(
-            path,
-            StoreOptions { durability: DurabilityMode::Os, shards: 2 },
-            Arc::new(vfs.clone()),
-        )
-        .expect("sim open")
-    }
-
-    /// The replica's user-visible contents as a flat map.
-    fn contents(store: &Store) -> BTreeMap<(String, Vec<u8>), Vec<u8>> {
-        let mut map = BTreeMap::new();
-        for name in store.tree_names() {
-            if name.starts_with("__repl") {
-                continue;
-            }
-            for (key, value) in store.scan_all(&name) {
-                map.insert((name.clone(), key), value);
-            }
+        fn open(vfs: &SimVfs, path: &str) -> Store {
+            Store::open_with_vfs(
+                path,
+                StoreOptions { durability: DurabilityMode::Os, shards: 2 },
+                Arc::new(vfs.clone()),
+            )
+            .expect("sim open")
         }
-        map
-    }
 
-    /// The expected contents after applying committed batches `1..=w`.
-    fn fold(log: &[Vec<Op>], w: u64) -> BTreeMap<(String, Vec<u8>), Vec<u8>> {
-        let mut map = BTreeMap::new();
-        for ops in log.iter().take(w as usize) {
-            for (tree, key, value) in ops {
-                match value {
-                    Some(v) => {
-                        map.insert((tree.clone(), key.clone()), v.clone());
-                    }
-                    None => {
-                        map.remove(&(tree.clone(), key.clone()));
+        /// The replica's user-visible contents as a flat map.
+        fn contents(store: &Store) -> BTreeMap<(String, Vec<u8>), Vec<u8>> {
+            let mut map = BTreeMap::new();
+            for name in store.tree_names() {
+                if name.starts_with("__repl") {
+                    continue;
+                }
+                for (key, value) in store.scan_all(&name) {
+                    map.insert((name.clone(), key), value);
+                }
+            }
+            map
+        }
+
+        /// The expected contents after applying committed batches `1..=w`.
+        fn fold(log: &[Vec<Mutation>], w: u64) -> BTreeMap<(String, Vec<u8>), Vec<u8>> {
+            let mut map = BTreeMap::new();
+            for ops in log.iter().take(w as usize) {
+                for (tree, key, value) in ops {
+                    match value {
+                        Some(v) => {
+                            map.insert((tree.clone(), key.clone()), v.clone());
+                        }
+                        None => {
+                            map.remove(&(tree.clone(), key.clone()));
+                        }
                     }
                 }
             }
+            map
         }
-        map
-    }
 
-    const PRIMARY_DIR: &str = "/sim/repl-prop-p";
+        const PRIMARY_DIR: &str = "/sim/repl-prop-p";
 
-    /// `primary.replication_read`, checked against the reference reader.
-    fn read_page(
-        primary: &Store,
-        vfs: &SimVfs,
-        from_seq: u64,
-        max_entries: usize,
-        max_bytes: usize,
-        ctx: &dyn Fn(&str) -> String,
-    ) -> ReplRead {
-        let page = primary.replication_read(from_seq, max_entries, max_bytes).expect("read");
-        let reference = repl_oracle::whole_log_read(
-            vfs,
-            Path::new(PRIMARY_DIR),
-            from_seq,
-            primary.committed_seq(),
-            max_entries,
-            max_bytes,
-        );
-        assert_eq!(
-            page,
-            reference,
-            "{}",
-            ctx(&format!("page from {from_seq} caps {max_entries}/{max_bytes} != whole-log read"))
-        );
-        page
-    }
+        /// `primary.replication_read`, checked against the reference reader.
+        fn read_page(
+            primary: &Store,
+            vfs: &SimVfs,
+            from_seq: u64,
+            max_entries: usize,
+            max_bytes: usize,
+            ctx: &dyn Fn(&str) -> String,
+        ) -> ReplRead {
+            let page = primary.replication_read(from_seq, max_entries, max_bytes).expect("read");
+            let reference = repl_oracle::whole_log_read(
+                vfs,
+                Path::new(PRIMARY_DIR),
+                from_seq,
+                primary.committed_seq(),
+                max_entries,
+                max_bytes,
+            );
+            assert_eq!(
+                page,
+                reference,
+                "{}",
+                ctx(&format!("page from {from_seq} caps {max_entries}/{max_bytes} != whole-log read"))
+            );
+            page
+        }
 
-    let cases = case_count(40);
-    let base = base_seed(0x9e91_ca7e);
-    for case in 0..cases {
-        let seed = base.wrapping_add(case as u64);
-        let mut rng = SplitMix64::new(seed);
-        let ctx = |step: usize, detail: &str| {
-            format!(
-                "case {case} step {step} (replay with SOFTREP_PROP_SEED={seed} \
-                 SOFTREP_PROP_CASES=1): {detail}"
-            )
-        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ctx = |step: usize, detail: &str| format!("step {step}: {detail}");
 
         let primary_vfs = SimVfs::new();
         let replica_vfs = SimVfs::new();
@@ -493,20 +458,20 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
         let mut replica = open(&replica_vfs, "/sim/repl-prop-r");
 
         // The committed log, mirrored op-for-op: log[i] is batch seq i+1.
-        let mut log: Vec<Vec<Op>> = Vec::new();
+        let mut log: Vec<Vec<Mutation>> = Vec::new();
         let mut writes = 0usize;
 
-        let steps = (rng.below(60) + 40) as usize;
+        let steps = rng.gen_range(40..100);
         for step in 0..steps {
             let w_before = applied_watermark(&replica);
             let step_ctx = |detail: &str| ctx(step, detail);
-            match rng.below(100) {
+            match rng.gen_range(0..100) {
                 // A burst of puts, long enough to span several WAL index
                 // strides, so pages start between index marks.
                 0..=2 => {
-                    for _ in 0..(rng.below(150) + 20) {
-                        let key = format!("k{}", rng.below(40)).into_bytes();
-                        let v = vec![b'b'; (rng.below(60) + 1) as usize];
+                    for _ in 0..rng.gen_range(20..170) {
+                        let key = format!("k{}", rng.gen_range(0..40)).into_bytes();
+                        let v = vec![b'b'; rng.gen_range(1..=60)];
                         primary.put("alpha", key.clone(), v.clone()).expect("put");
                         log.push(vec![("alpha".to_string(), key, Some(v))]);
                         writes += 1;
@@ -514,23 +479,23 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
                 }
                 // Mixed write on the primary (put / delete / multi-op).
                 3..=44 => {
-                    let tree = ["alpha", "beta", "gamma"][rng.below(3) as usize].to_string();
-                    let key = format!("k{}", rng.below(40)).into_bytes();
-                    let mut ops: Vec<Op> = Vec::new();
-                    if rng.chance(20) && writes > 0 {
+                    let tree = ["alpha", "beta", "gamma"][rng.gen_range(0..3usize)].to_string();
+                    let key = format!("k{}", rng.gen_range(0..40)).into_bytes();
+                    let mut ops: Vec<Mutation> = Vec::new();
+                    if rng.gen_bool(0.2) && writes > 0 {
                         primary.delete(&tree, key.clone()).expect("delete");
                         ops.push((tree, key, None));
-                    } else if rng.chance(15) {
+                    } else if rng.gen_bool(0.15) {
                         let mut batch = WriteBatch::new();
-                        for j in 0..(rng.below(4) + 2) {
-                            let k = format!("k{}-{j}", rng.below(40)).into_bytes();
-                            let v = vec![b'm'; (rng.below(60) + 1) as usize];
+                        for j in 0..rng.gen_range(2..6) {
+                            let k = format!("k{}-{j}", rng.gen_range(0..40)).into_bytes();
+                            let v = vec![b'm'; rng.gen_range(1..=60)];
                             batch.put(&tree, k.clone(), v.clone());
                             ops.push((tree.clone(), k, Some(v)));
                         }
                         primary.apply(&batch).expect("apply");
                     } else {
-                        let v = vec![b'v'; (rng.below(120) + 1) as usize];
+                        let v = vec![b'v'; rng.gen_range(1..=120)];
                         primary.put(&tree, key.clone(), v.clone()).expect("put");
                         ops.push((tree, key, Some(v)));
                     }
@@ -542,12 +507,12 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
                 45..=69 => {
                     let w = applied_watermark(&replica);
                     let max_entries =
-                        if rng.chance(20) { 100 } else { (rng.below(6) + 1) as usize };
-                    let max_bytes = [32usize, 256, 4096, 1 << 20][rng.below(4) as usize];
+                        if rng.gen_bool(0.2) { 100 } else { rng.gen_range(1..=6) };
+                    let max_bytes = [32usize, 256, 4096, 1 << 20][rng.gen_range(0..4usize)];
                     match read_page(&primary, &primary_vfs, w, max_entries, max_bytes, &step_ctx) {
                         ReplRead::Entries { entries, .. } => {
-                            let cut = if rng.chance(25) {
-                                rng.below(entries.len().max(1) as u64) as usize
+                            let cut = if rng.gen_bool(0.25) {
+                                rng.gen_range(0..entries.len().max(1))
                             } else {
                                 entries.len()
                             };
@@ -567,7 +532,7 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
                 // re-request from an old watermark; redelivered entries
                 // at or below the real watermark must be skipped.
                 70..=77 => {
-                    let back = if rng.chance(25) { rng.below(200) } else { rng.below(5) };
+                    let back = if rng.gen_bool(0.25) { rng.gen_range(0..200) } else { rng.gen_range(0..5) };
                     let w = applied_watermark(&replica).saturating_sub(back);
                     if let ReplRead::Entries { entries, .. } =
                         read_page(&primary, &primary_vfs, w, 8, 4096, &step_ctx)
@@ -588,7 +553,7 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
                 // mid-append first: the write fails, so it never
                 // committed, and reopen truncates the torn tail.
                 86..=92 => {
-                    if rng.chance(50) {
+                    if rng.gen_bool(0.5) {
                         primary_vfs.failpoints().set("vfs.append", FailAction::Every(Fault::Torn));
                         let torn = primary.put("alpha", b"torn".to_vec(), vec![b't'; 40]);
                         primary_vfs.failpoints().clear_all();
@@ -638,8 +603,8 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
                 break;
             }
             guard += 1;
-            assert!(guard < 10_000, "case {case} seed {seed}: drain did not converge");
-            let drain_ctx = |detail: &str| format!("case {case} seed {seed} drain: {detail}");
+            assert!(guard < 10_000, "drain did not converge");
+            let drain_ctx = |detail: &str| format!("drain: {detail}");
             match read_page(&primary, &primary_vfs, w, 64, 1 << 20, &drain_ctx) {
                 ReplRead::Entries { entries, .. } => {
                     for e in &entries {
@@ -655,7 +620,7 @@ fn replica_watermark_is_always_a_gapless_prefix_under_random_schedules() {
         assert_eq!(
             primary.content_dump(),
             replica.content_dump(),
-            "case {case} seed {seed}: stores must be byte-identical at quiesce"
+            "stores must be byte-identical at quiesce"
         );
     }
 }

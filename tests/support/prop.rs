@@ -1,20 +1,8 @@
-//! Hand-rolled property-testing support: a seeded generator, a workload
-//! interpreter, and a ddmin-style shrinker.
-//!
-//! The workspace deliberately vendors offline stand-ins instead of pulling
-//! real crates, and the vendored `proptest` stub only covers the closed-form
-//! strategies the unit tests use. Randomized *stateful* workloads (sequences
-//! of database operations) need a generator and a shrinker, so this module
-//! rolls a minimal pair by hand:
-//!
-//! * [`SplitMix64`] — a tiny, well-known seedable generator; printing its
-//!   seed on failure makes every counterexample replayable with
-//!   `SOFTREP_PROP_SEED=<seed> cargo test`.
-//! * [`gen_workload`] — random [`Op`] sequences over small fixed pools of
-//!   users and software titles.
-//! * [`shrink`] — greedy chunk removal (delta debugging): repeatedly drop
-//!   halves/quarters/… of the failing workload while it keeps failing, so
-//!   the printed counterexample is near-minimal.
+//! Workload interpreter for the aggregation-equivalence property: a
+//! randomized [`Op`] sequence over small fixed pools of users and
+//! software titles, replayed in lockstep against an incrementally and a
+//! fully aggregating database ([`run_equivalence_case`]). Generation and
+//! shrinking live in the vendored `proptest` (see `tests/properties.rs`).
 
 use softrep_core::clock::{Timestamp, DAY_SECS};
 use softrep_core::db::ReputationDb;
@@ -26,36 +14,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use std::sync::Arc;
-
-/// SplitMix64: 64-bit seedable generator (Steele et al., used to seed
-/// xoshiro in the literature). Tiny state, no dependencies, good enough
-/// for test-case generation.
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..bound` (`bound` must be nonzero).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
-    }
-
-    pub fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
 
 /// Users available to a workload (small pool: collisions — re-votes,
 /// repeated remarks, trust churn on the same account — are the interesting
@@ -78,9 +36,10 @@ pub enum Op {
     Vote { user: usize, title: usize, score: u8, behaviours: Vec<String> },
     /// `user` comments on `title`.
     Comment { user: usize, title: usize },
-    /// `user` remarks (positive/negative) on the `nth` comment created so
-    /// far — may target an unpublished or own comment, which must fail
-    /// identically on both databases.
+    /// `user` remarks (positive/negative) on comment `nth` modulo the
+    /// number created so far (a no-op before the first) — may target an
+    /// unpublished or own comment, which must fail identically on both
+    /// databases.
     Remark { user: usize, nth: usize, positive: bool },
     /// Direct trust adjustment (the server does this for analyzer
     /// agreement and administrative corrections).
@@ -92,58 +51,6 @@ pub enum Op {
     AdvanceDays { days: u64 },
     /// Run an aggregation batch on both databases and compare.
     Aggregate,
-}
-
-/// Generate a workload of `len` ops.
-pub fn gen_workload(rng: &mut SplitMix64, len: usize) -> Vec<Op> {
-    let behaviours_pool = ["popup_ads", "tracking", "bad_uninstall", "toolbar"];
-    let mut ops = Vec::with_capacity(len);
-    let mut comments_created = 0usize;
-    for _ in 0..len {
-        let op = match rng.below(100) {
-            // Votes dominate: they are the aggregation input.
-            0..=39 => Op::Vote {
-                user: rng.below(USERS.len() as u64) as usize,
-                title: rng.below(TITLES as u64) as usize,
-                score: (rng.below(10) + 1) as u8,
-                behaviours: {
-                    let n = rng.below(3) as usize;
-                    (0..n)
-                        .map(|_| {
-                            behaviours_pool[rng.below(behaviours_pool.len() as u64) as usize]
-                                .to_string()
-                        })
-                        .collect()
-                },
-            },
-            40..=54 => {
-                comments_created += 1;
-                Op::Comment {
-                    user: rng.below(USERS.len() as u64) as usize,
-                    title: rng.below(TITLES as u64) as usize,
-                }
-            }
-            55..=69 if comments_created > 0 => Op::Remark {
-                user: rng.below(USERS.len() as u64) as usize,
-                nth: rng.below(comments_created as u64) as usize,
-                positive: rng.chance(60),
-            },
-            70..=79 => Op::AdjustTrust {
-                user: rng.below(USERS.len() as u64) as usize,
-                // −3.0 .. +8.0 in half-point steps: crosses the clamp floor
-                // and the weekly growth cap.
-                delta_half_points: rng.below(23) as i64 - 6,
-            },
-            80..=86 => Op::Moderate { approve: rng.chance(70) },
-            87..=93 => Op::AdvanceDays { days: rng.below(3) + 1 },
-            _ => Op::Aggregate,
-        };
-        ops.push(op);
-    }
-    // Always end on a comparison so every workload checks equivalence at
-    // least once.
-    ops.push(Op::Aggregate);
-    ops
 }
 
 /// Which aggregation path a database under test uses.
@@ -214,7 +121,7 @@ impl Replay {
                 self.comment_ids.push(id);
             }
             Op::Remark { user, nth, positive } => {
-                if let Some(&id) = self.comment_ids.get(*nth) {
+                if let Some(&id) = self.comment_ids.get(nth % self.comment_ids.len().max(1)) {
                     // May fail (pending comment, self-remark): identically
                     // on both databases.
                     let _ = self.db.remark_comment(USERS[*user], id, *positive, now);
@@ -250,12 +157,14 @@ impl Replay {
 
 /// Replay `ops` against an incremental and a full database in lockstep and
 /// return a divergence description, or `None` if the rating tables agree
-/// (content bytes, `computed_at` excluded) at every `Op::Aggregate`.
+/// (content bytes, `computed_at` excluded) at every `Op::Aggregate`. A
+/// final `Op::Aggregate` is always appended, so every workload — shrunk
+/// ones included — checks equivalence at least once.
 pub fn run_equivalence_case(seed: u64, ops: &[Op]) -> Option<String> {
     let mut incremental = Replay::new(AggMode::Incremental, seed);
     let mut full = Replay::new(AggMode::Full, seed);
     let mut now = Timestamp(1_000);
-    for (step, op) in ops.iter().enumerate() {
+    for (step, op) in ops.iter().chain([&Op::Aggregate]).enumerate() {
         incremental.apply(op, now);
         full.apply(op, now);
         if let Op::Aggregate = op {
@@ -295,53 +204,4 @@ pub fn diverged(incremental: &ReputationDb, full: &ReputationDb) -> Option<Strin
         }
     }
     None
-}
-
-/// Greedy chunk-removal shrinker (ddmin): try dropping ever-smaller chunks
-/// of the workload while `fails` keeps returning true. Returns the
-/// near-minimal failing workload.
-pub fn shrink(ops: Vec<Op>, fails: impl Fn(&[Op]) -> bool) -> Vec<Op> {
-    let mut current = ops;
-    let mut chunk = current.len() / 2;
-    while chunk >= 1 {
-        let mut start = 0;
-        let mut removed_any = false;
-        while start < current.len() {
-            let mut candidate = Vec::with_capacity(current.len().saturating_sub(chunk));
-            candidate.extend_from_slice(&current[..start]);
-            candidate.extend_from_slice(&current[(start + chunk).min(current.len())..]);
-            if candidate.len() < current.len() && fails(&candidate) {
-                current = candidate;
-                removed_any = true;
-                // Re-test from the same offset: the next chunk slid into
-                // this position.
-            } else {
-                start += chunk;
-            }
-        }
-        if !removed_any {
-            chunk /= 2;
-        }
-    }
-    current
-}
-
-/// Number of random cases to run, honouring `SOFTREP_PROP_CASES`.
-pub fn case_count(default: usize) -> usize {
-    std::env::var("SOFTREP_PROP_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Base seed, honouring `SOFTREP_PROP_SEED` (decimal or `0x…` hex) for
-/// replay.
-pub fn base_seed(default: u64) -> u64 {
-    std::env::var("SOFTREP_PROP_SEED")
-        .ok()
-        .and_then(|v| {
-            if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                u64::from_str_radix(hex, 16).ok()
-            } else {
-                v.parse().ok()
-            }
-        })
-        .unwrap_or(default)
 }
