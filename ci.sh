@@ -30,8 +30,10 @@
 #   8. bench smoke                  the store_concurrent/group-commit
 #                                   benches and the replication_catchup
 #                                   group (1 000 entries) at a tiny
-#                                   workload — a does-it-run check, not a
-#                                   measurement
+#                                   workload, plus the crypto benches
+#                                   (RSA-1024 keygen, sign, blind-sign
+#                                   round trip) — a does-it-run check,
+#                                   not a measurement
 #   9. /metrics endpoint smoke      boots the release serverd on
 #                                   ephemeral ports and asserts the
 #                                   Prometheus exposition is well formed
@@ -109,7 +111,7 @@ printf 'crash-matrix randomized seed: %s\n' "$CRASH_SEED"
 timeout 300 env PROPTEST_SEED_OFFSET="$CRASH_SEED" \
     cargo test --offline -q --test crash_matrix randomized
 
-step "10/13 bench smoke (concurrency + replication catch-up)"
+step "10/13 bench smoke (concurrency + replication catch-up + crypto)"
 # Tiny workload: proves the mixed reader/writer and group-commit benches
 # still run, without spending CI minutes on real measurements.
 SOFTREP_BENCH_SMOKE=1 cargo bench --offline -p softrep-bench --bench storage_bench \
@@ -121,6 +123,13 @@ SOFTREP_BENCH_SMOKE=1 cargo bench --offline -p softrep-bench --bench storage_ben
 SOFTREP_BENCH_SMOKE=1 cargo bench --offline -p softrep-bench --bench server_bench \
     | grep 'replication_catchup' || {
         echo "replication catch-up bench produced no output"; exit 1; }
+# Digests, password hashing, puzzles, one-time signatures and RSA-1024
+# (keygen, sign, verify, blind-sign round trip); a few seconds in all.
+# The RSA lines prove the pseudonym-credential path runs; timings are
+# printed, not gated.
+cargo bench --offline -p softrep-bench --bench crypto_bench \
+    | grep 'rsa_1024' || {
+        echo "crypto bench produced no RSA output"; exit 1; }
 
 step "11/13 /metrics endpoint smoke"
 # Boot the real binary on ephemeral ports, fetch /metrics over a raw

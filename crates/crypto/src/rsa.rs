@@ -193,6 +193,59 @@ mod tests {
         assert_ne!(blinded1, blinded2, "fresh randomness per blinding");
     }
 
+    /// Seeded 1024-bit keys and one raw signature, pinned byte for byte:
+    /// a change to the arithmetic or to the RNG draws of the key search
+    /// (Miller–Rabin bases, candidates, trial division) shows here.
+    #[test]
+    fn seeded_1024_bit_keys_are_pinned() {
+        const MODULI: [(u64, &str); 3] = [
+            (
+                0x5EED_0F5E,
+                concat!(
+                    "57cd7389ed46934b29bb0c32a4a62e9da0967b0ec52aa01078cf751de81a0f56",
+                    "4b26a6d5f19e3879c5ec6f3e8ce954db0a13439a803e08729c44d389a94b0630",
+                    "37563f221a25719717e2a3d024507850f5f27424e2d75f62cda9b4451e04f5ec",
+                    "3ce22fb54ef2c850fe89f58e362dbe541016a874fbf281d40dc42a512ca21f13",
+                ),
+            ),
+            (
+                1,
+                concat!(
+                    "a0c18b7515c4b061d3e8d7ea4e01c22c255a56db7397d85deed028d28cc72d28",
+                    "e2f9d7db324d644f7b5e0f262cd655da9e0f881c41d5399d01d3958f351f318e",
+                    "5db68a4bfabe5a6987494c728f6b9447778cd32c68357ddfacf2bc4f62134d65",
+                    "0f4c88cf6ee1e93c9c1ee7bd19572a179a28a78cea7c8544c5ecaf664f80c819",
+                ),
+            ),
+            (
+                2,
+                concat!(
+                    "86dadce7a79cd54b814eda615c3eb2c2ec4a6cb24da45693fc1fbe416dd6686c",
+                    "364af769479d1a24523a239fc5b87f3f4e7a62ba5939b85e197b5cd569fc499e",
+                    "56dda7d144e318607e345ae3cc511cb24e47da4e48b6ca1f6a7aa0e24a657f02",
+                    "7b644f947c5779edff7afaebc678a9c4e95aeb9658d5fe41e1d38da7e95dd9d7",
+                ),
+            ),
+        ];
+        const SIGN_RAW: &str = concat!(
+            "400936a4cc23c3cdfb316abc6ba05c09c31b42c5d4b4c933628d5c82f9c9cef8",
+            "9c98fbbfcfaca9b34e8ccec7b431a31d6d99db79153b082a15d728320c4d3817",
+            "81049ecf047ba6db17cec176b3c51a9681fdd5232441c7da4e740c7d56335788",
+            "7038faa38a2c7b027bc270943b75ff41bf0c97ea0b333e280179adc5176c6412",
+        );
+        let keys: Vec<RsaKeypair> = MODULI
+            .iter()
+            .map(|&(seed, modulus)| {
+                let kp = RsaKeypair::generate(1024, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(kp.public_key().n.to_hex(), modulus, "modulus for seed {seed:#x}");
+                assert_eq!(kp.public_key().e, BigUint::from_u64(65_537));
+                kp
+            })
+            .collect();
+        let element = BigUint::from_hex("0123456789abcdeffedcba9876543210").unwrap();
+        assert_eq!(keys[0].sign_raw(&element).to_hex(), SIGN_RAW);
+    }
+
     #[test]
     fn garbage_blind_response_is_rejected() {
         let kp = keypair();

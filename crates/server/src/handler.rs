@@ -466,6 +466,15 @@ impl ReputationServer {
                 let Some(blinded) = BigUint::from_hex(blinded) else {
                     return Response::error("bad-request", "blinded element is not hex");
                 };
+                // A blinded element is a residue mod n. Refusing anything
+                // larger bounds the signing work per request, and comes
+                // before the mark so a malformed element costs no credential.
+                if blinded >= key.public_key().n {
+                    return Response::error(
+                        "bad-request",
+                        "blinded element is not below the modulus",
+                    );
+                }
                 // One credential per member, marked *before* signing so a
                 // crash cannot double-issue.
                 if let Err(e) = self.db.mark_pseudonym_credential_issued(&username) {

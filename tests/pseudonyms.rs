@@ -14,6 +14,12 @@ use softwareputation::proto::{Request, Response};
 use softwareputation::server::{ReputationServer, ServerConfig};
 
 fn server() -> (Arc<ReputationServer>, SimClock) {
+    // Small key keeps debug-mode tests fast; the scheme is size-agnostic
+    // (the deployment binary uses 1024, see `lifecycle_at_the_deployed_key_size`).
+    server_with_key_bits(256)
+}
+
+fn server_with_key_bits(pseudonym_key_bits: u32) -> (Arc<ReputationServer>, SimClock) {
     let clock = SimClock::new();
     let server = Arc::new(ReputationServer::new(
         ReputationDb::in_memory("pseudo"),
@@ -22,9 +28,7 @@ fn server() -> (Arc<ReputationServer>, SimClock) {
             puzzle_difficulty: 0,
             flood_capacity: u32::MAX,
             flood_refill_per_hour: u32::MAX,
-            // Small key keeps debug-mode tests fast; the scheme is
-            // size-agnostic (the deployment binary uses 1024).
-            pseudonym_key_bits: 256,
+            pseudonym_key_bits,
             ..ServerConfig::default()
         },
         23,
@@ -152,6 +156,48 @@ fn pseudonym_lifecycle_and_unlinkability() {
         "h",
     );
     assert!(matches!(resp, Response::Error { ref code, .. } if code == "invalid-input"));
+}
+
+/// The binary's 1024-bit key: blind, sign, unblind, register, then a
+/// refused replay.
+#[test]
+fn lifecycle_at_the_deployed_key_size() {
+    let (server, _clock) = server_with_key_bits(1024);
+    assert_eq!(fetch_key(&server).n.bits(), 1024);
+    let session = join(&server, "insider");
+    let (token, signature) = draw_credential(&server, &session, 4);
+    let redeem = |username: &str| {
+        server.handle(
+            &Request::RegisterPseudonym {
+                username: username.into(),
+                password: "pw".into(),
+                token: token.clone(),
+                signature: signature.clone(),
+            },
+            "h",
+        )
+    };
+    assert_eq!(redeem("nym_1024"), Response::Ok);
+    assert!(
+        matches!(redeem("nym_1024_again"), Response::Error { ref code, .. } if code == "invalid-input")
+    );
+}
+
+#[test]
+fn blinded_elements_not_below_the_modulus_are_refused_without_spending_the_credential() {
+    let (server, _clock) = server();
+    let session = join(&server, "careless");
+    let n = fetch_key(&server).n;
+    for blinded in [n.to_hex(), "f".repeat(32 * 1024)] {
+        let resp = server.handle(
+            &Request::BlindSignPseudonym { session: session.clone(), blinded },
+            "member-host",
+        );
+        assert!(matches!(resp, Response::Error { ref code, .. } if code == "bad-request"));
+    }
+    assert!(!server.db().user("careless").unwrap().unwrap().pseudonym_credential_issued);
+    // The member's one credential is still there to draw.
+    let _ = draw_credential(&server, &session, 5);
 }
 
 #[test]
